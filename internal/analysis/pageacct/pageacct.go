@@ -6,8 +6,10 @@
 //
 // Within each analyzed package the analyzer builds the package-local
 // call graph and marks every function reachable from a search entry
-// point (a function or method whose name begins with Search or search).
-// For reachable functions it checks three rules:
+// point: a function or method whose name begins with Search or search,
+// or a method named candidates — the index half of a search, which the
+// shell reaches through the index interface, a dynamic call the static
+// graph cannot follow. For reachable functions it checks three rules:
 //
 //  1. A function that reads pages (pagestore ReadPage) must account for
 //     them in the same function: an increment of a SearchStats counter
@@ -96,12 +98,16 @@ func searchReachable(pass *sigvet.Pass, decls map[*types.Func]*ast.FuncDecl) map
 		}
 	}
 	for fn := range decls {
-		name := fn.Name()
-		if strings.HasPrefix(name, "Search") || strings.HasPrefix(name, "search") {
+		if isSearchEntry(fn.Name()) {
 			visit(fn)
 		}
 	}
 	return reachable
+}
+
+// isSearchEntry reports whether name denotes a search entry point.
+func isSearchEntry(name string) bool {
+	return strings.HasPrefix(name, "Search") || strings.HasPrefix(name, "search") || name == "candidates"
 }
 
 // isMaintenance reports whether name denotes LSM maintenance machinery —

@@ -157,3 +157,27 @@ func (f *Facility) Rebuild(n int) error {
 	}
 	return nil
 }
+
+// index is what a shell dispatches a search through; the static call
+// graph stops at the interface, so candidates is an entry point by name.
+type index interface {
+	candidates(n int, stats *SearchStats) error
+}
+
+type shell struct{ idx index }
+
+// Search reaches candidates only dynamically.
+func (sh *shell) Search(n int, stats *SearchStats) error { return sh.idx.candidates(n, stats) }
+
+// candidates is on the search path although no static edge leads to it.
+func (f *Facility) candidates(n int, stats *SearchStats) error {
+	if err := f.scanAccounted(n, stats); err != nil {
+		return err
+	}
+	return f.probeUnaccounted()
+}
+
+// probeUnaccounted is reachable from candidates alone.
+func (f *Facility) probeUnaccounted() error { // want `search path probeUnaccounted reads pages but never counts them`
+	return f.oid.ReadPage(0, make([]byte, pagestore.PageSize))
+}

@@ -3,14 +3,16 @@
 // prose mechanical:
 //
 //  1. Code reachable (package-locally) from a segment-reader entry
-//     point — a method named segmentCandidates or liveOIDs — must not
+//     point — a method named segmentCandidates, candidates (the index
+//     method segmentCandidates dispatches to through the index
+//     interface) or liveOIDs — must not
 //     call mutating pagestore methods (WritePage, Allocate, Remove,
 //     RemoveIfSupported). Segment readers serve sealed bytes; a write
 //     on that path would mutate a segment other readers are sharing.
 //
 //  2. Maintenance functions (the flush*/compact* carve-out pageacct
-//     stops at) must not be reachable from Search*/search* entry
-//     points: flushes and compactions belong to the update path, which
+//     stops at) must not be reachable from Search*/search*/candidates
+//     entry points: flushes and compactions belong to the update path, which
 //     holds the facility write lock. A search that triggers one would
 //     write under the shared read lock.
 //
@@ -88,7 +90,7 @@ func localEdges(pass *sigvet.Pass, decls map[*types.Func]*ast.FuncDecl) map[*typ
 }
 
 // checkReaderPaths enforces rule 1: no mutating pagestore calls
-// reachable from segmentCandidates/liveOIDs.
+// reachable from segmentCandidates/candidates/liveOIDs.
 func checkReaderPaths(pass *sigvet.Pass, decls map[*types.Func]*ast.FuncDecl) {
 	edges := localEdges(pass, decls)
 	reachable := make(map[*types.Func]bool)
@@ -103,7 +105,8 @@ func checkReaderPaths(pass *sigvet.Pass, decls map[*types.Func]*ast.FuncDecl) {
 		}
 	}
 	for fn := range decls {
-		if fn.Name() == "segmentCandidates" || fn.Name() == "liveOIDs" {
+		switch fn.Name() {
+		case "segmentCandidates", "candidates", "liveOIDs":
 			visit(fn)
 		}
 	}
@@ -141,7 +144,7 @@ func checkSearchMaintenance(pass *sigvet.Pass, decls map[*types.Func]*ast.FuncDe
 	}
 	for fn := range decls {
 		name := fn.Name()
-		if strings.HasPrefix(name, "Search") || strings.HasPrefix(name, "search") {
+		if strings.HasPrefix(name, "Search") || strings.HasPrefix(name, "search") || name == "candidates" {
 			visit(fn)
 		}
 	}

@@ -34,6 +34,27 @@ func (s *segment) reclaimFromReader() error {
 	return pagestore.RemoveIfSupported(s.store, "seg-0001") // want `segment-reader path reclaimFromReader calls RemoveIfSupported`
 }
 
+// index is the interface a shell dispatches through; the static call
+// graph stops at it, so candidates is an entry point by name.
+type index interface {
+	candidates(buf []byte) error
+}
+
+type shell struct{ idx index }
+
+func (sh *shell) segmentCandidates(buf []byte) error { return sh.idx.candidates(buf) }
+
+// candidates mutates a sealed segment and reaches maintenance: rules 1
+// and 2 both fire although no static edge leads here.
+func (s *segment) candidates(buf []byte) error {
+	if err := s.file.WritePage(0, buf); err != nil { // want `segment-reader path candidates calls WritePage`
+		return err
+	}
+	return s.compactNothing() // want `maintenance function compactNothing is reachable from a search path`
+}
+
+func (s *segment) compactNothing() error { return nil }
+
 // SearchBad reaches maintenance: rule 2.
 func (s *segment) SearchBad(buf []byte) error {
 	return s.flushNow(buf) // want `maintenance function flushNow is reachable from a search path`

@@ -14,7 +14,8 @@ type Entry struct {
 }
 
 // BatchInserter is implemented by facilities that can amortize page
-// writes across a batch of insertions. The paper prices a single BSSF
+// writes across a batch of insertions — everything Open returns, through
+// the shell's InsertBatch. The paper prices a single BSSF
 // insertion at F+1 page accesses and notes the estimate is worst case;
 // batching is the strongest form of the improvement: a batch of B
 // insertions landing on the same slice pages costs one write per touched
@@ -25,30 +26,18 @@ type BatchInserter interface {
 	InsertBatch(entries []Entry) error
 }
 
-// InsertBatch implements BatchInserter for BSSF: slice tail pages are
+// insertBatch implements index for BSSF: slice tail pages are
 // written once per touched (slice, page) instead of once per insert, so
 // a bulk load of N ≤ P·b objects costs about F slice writes in total
 // (plus one OID-file write per insert) — versus N·m_t slice writes on
 // the one-at-a-time path.
-func (b *BSSF) InsertBatch(entries []Entry) error {
-	if len(entries) == 0 {
-		return nil
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	// Validate up front: a failed entry mid-batch must not leave pages
-	// half-written.
-	for _, e := range entries {
-		if e.OID == 0 {
-			return fmt.Errorf("core: BSSF batch: OID 0 is reserved")
-		}
-	}
+func (b *bssfIndex) insertBatch(entries []Entry) error {
 	dirtySlices := make(map[int]struct{}, b.scheme.F())
 	flush := func() error {
 		if len(dirtySlices) == 0 {
 			return nil
 		}
-		page := pagestore.PageID((b.count - 1) / bitsPerSlicePage)
+		page := pagestore.PageID((b.n - 1) / bitsPerSlicePage)
 		for j := range dirtySlices {
 			if err := b.slices[j].WritePage(page, b.tails[j]); err != nil {
 				return fmt.Errorf("core: BSSF batch flush slice %d: %w", j, err)
@@ -58,7 +47,7 @@ func (b *BSSF) InsertBatch(entries []Entry) error {
 		return nil
 	}
 	for _, e := range entries {
-		idx := b.count
+		idx := b.n
 		if idx%bitsPerSlicePage == 0 {
 			// Crossing a page boundary: flush the filled pages, then
 			// extend every slice.
@@ -87,29 +76,17 @@ func (b *BSSF) InsertBatch(entries []Entry) error {
 			// (false drops only) if a later flush writes them.
 			return err
 		}
-		b.count++
+		b.n++
 		b.card.add(len(deduped))
 	}
 	return flush()
 }
 
-// InsertBatch implements BatchInserter for SSF: signature and OID tail
+// insertBatch implements index for SSF: signature and OID tail
 // pages are written once per fill instead of once per insert, so a bulk
 // load of N objects costs ~⌈N/sigsPerPage⌉ + ⌈N/O_P⌉ page writes instead
 // of 2·N — the same page-granular amortization as BSSF's batch path.
-func (s *SSF) InsertBatch(entries []Entry) error {
-	if len(entries) == 0 {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Validate up front: a failed entry mid-batch must not leave the two
-	// files out of lockstep.
-	for _, e := range entries {
-		if e.OID == 0 {
-			return fmt.Errorf("core: SSF batch: OID 0 is reserved")
-		}
-	}
+func (s *ssfIndex) insertBatch(entries []Entry) error {
 	dirty := false
 	flush := func() error {
 		if !dirty {
@@ -126,15 +103,15 @@ func (s *SSF) InsertBatch(entries []Entry) error {
 	for _, e := range entries {
 		deduped := dedup(e.Elems)
 		sig := s.scheme.SetSignatureStrings(deduped)
-		slot := s.count % s.sigsPerPage
+		slot := s.n % s.sigsPerPage
 		if slot == 0 {
 			if err := flush(); err != nil {
-				s.count = s.oid.n
+				s.n = s.oid.n
 				return err
 			}
 			id, err := s.sig.Allocate()
 			if err != nil {
-				s.count = s.oid.n
+				s.n = s.oid.n
 				return fmt.Errorf("core: SSF batch: %w", err)
 			}
 			s.tailPage = id
@@ -144,18 +121,18 @@ func (s *SSF) InsertBatch(entries []Entry) error {
 		}
 		sig.MarshalBinaryTo(s.tail[slot*s.sigBytes:])
 		dirty = true
-		s.count++
+		s.n++
 		oids = append(oids, e.OID)
 		cards = append(cards, len(deduped))
 	}
 	if err := flush(); err != nil {
-		s.count = s.oid.n
+		s.n = s.oid.n
 		return err
 	}
 	if err := s.oid.appendBatch(oids); err != nil {
 		// Realign with the OID file (the authority for count); the extra
 		// signatures past count are stale slots the next insert overwrites.
-		s.count = s.oid.n
+		s.n = s.oid.n
 		return err
 	}
 	for _, c := range cards {
@@ -164,22 +141,15 @@ func (s *SSF) InsertBatch(entries []Entry) error {
 	return nil
 }
 
-// InsertBatch implements BatchInserter for FSSF with the same
-// page-granular amortization as BSSF's.
-func (f *FSSF) InsertBatch(entries []Entry) error {
-	for _, e := range entries {
-		if e.OID == 0 {
-			return fmt.Errorf("core: FSSF batch: OID 0 is reserved")
-		}
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
+// insertBatch implements index for FSSF with the same page-granular
+// amortization as BSSF's.
+func (f *fssfIndex) insertBatch(entries []Entry) error {
 	dirty := make(map[int]struct{}, f.scheme.K())
 	flush := func() error {
 		if len(dirty) == 0 {
 			return nil
 		}
-		page := pagestore.PageID((f.count - 1) / f.recsPerPage)
+		page := pagestore.PageID((f.n - 1) / f.recsPerPage)
 		for j := range dirty {
 			if err := f.frames[j].WritePage(page, f.tails[j]); err != nil {
 				return fmt.Errorf("core: FSSF batch flush frame %d: %w", j, err)
@@ -189,7 +159,7 @@ func (f *FSSF) InsertBatch(entries []Entry) error {
 		return nil
 	}
 	for _, e := range entries {
-		idx := f.count
+		idx := f.n
 		slot := idx % f.recsPerPage
 		if slot == 0 {
 			if err := flush(); err != nil {
@@ -213,30 +183,22 @@ func (f *FSSF) InsertBatch(entries []Entry) error {
 		if _, err := f.oid.append(e.OID); err != nil {
 			return err
 		}
-		f.count++
+		f.n++
 		f.card.add(len(deduped))
 	}
 	return flush()
 }
 
-// InsertBatch implements BatchInserter for NIX: the batch's postings are
+// insertBatch implements index for NIX: the batch's postings are
 // grouped by element and inserted in sorted key order, so consecutive
 // B⁺-tree insertions land on the same leaf instead of hopping across the
 // tree once per (object × element). Per-element posting lists come out in
 // entry order, exactly as the one-at-a-time path builds them.
-func (n *NIX) InsertBatch(entries []Entry) error {
-	if len(entries) == 0 {
-		return nil
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	// Validate up front: OID 0 and duplicates (against the index and
-	// within the batch) fail before any tree mutation.
+func (n *nixIndex) insertBatch(entries []Entry) error {
+	// Validate up front: duplicates (against the index and within the
+	// batch) fail before any tree mutation.
 	inBatch := make(map[uint64]struct{}, len(entries))
 	for _, e := range entries {
-		if e.OID == 0 {
-			return fmt.Errorf("core: NIX batch: OID 0 is reserved")
-		}
 		if _, dup := n.live[e.OID]; dup {
 			return fmt.Errorf("core: NIX batch: OID %d already indexed", e.OID)
 		}
@@ -273,10 +235,3 @@ func (n *NIX) InsertBatch(entries []Entry) error {
 	}
 	return nil
 }
-
-var (
-	_ BatchInserter = (*SSF)(nil)
-	_ BatchInserter = (*BSSF)(nil)
-	_ BatchInserter = (*FSSF)(nil)
-	_ BatchInserter = (*NIX)(nil)
-)

@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
-	"time"
 
 	"sigfile/internal/bitset"
 	"sigfile/internal/obs"
@@ -24,17 +22,21 @@ import (
 // set (the paper's worst case writes all F; see WorstCaseInsert).
 //
 // A BSSF is safe for concurrent use: searches run in parallel with each
-// other; updates exclude searches and one another through an internal
-// readers-writer lock.
+// other; updates exclude searches and one another through the shell's
+// readers-writer lock (the tail caches and count are mutated on every
+// insert).
 type BSSF struct {
-	// mu: searches hold it shared, updates exclusive (the tail caches and
-	// count are mutated on every insert).
-	mu     sync.RWMutex
+	*shell
+	ix *bssfIndex
+}
+
+// bssfIndex is BSSF's index: the slice files, the OID file and the
+// per-predicate slice selection.
+type bssfIndex struct {
 	scheme *signature.Scheme
-	src    SetSource
 	slices []pagestore.File
 	oid    *oidFile
-	count  int // signatures appended (live + stale)
+	n      int // signatures appended (live + stale)
 
 	// tails cache the page currently being appended to in each slice so
 	// an insert costs one write per touched slice.
@@ -45,11 +47,8 @@ type BSSF struct {
 	// slices whose bit is 1 are written (the improvement §6 anticipates).
 	worstCaseInsert bool
 
-	// card accumulates inserted set cardinalities for Describe.
+	// card accumulates inserted set cardinalities for describe.
 	card cardStats
-
-	metrics *facilityMetrics
-	health  *healthTracker
 }
 
 // bitsPerSlicePage is the number of objects one slice page covers
@@ -57,13 +56,13 @@ type BSSF struct {
 const bitsPerSlicePage = pagestore.PageSize * 8
 
 // BSSFOption configures a BSSF.
-type BSSFOption func(*BSSF)
+type BSSFOption func(*bssfIndex)
 
 // WithWorstCaseInsert makes Insert write all F slice files, matching the
 // paper's worst-case update-cost assumption (Table 7). The default writes
 // only the ~m_t slices whose bit is set.
 func WithWorstCaseInsert() BSSFOption {
-	return func(b *BSSF) { b.worstCaseInsert = true }
+	return func(b *bssfIndex) { b.worstCaseInsert = true }
 }
 
 // NewBSSF creates (or reopens) a bit-sliced signature file in store using
@@ -78,7 +77,7 @@ func NewBSSF(scheme *signature.Scheme, src SetSource, store pagestore.Store, opt
 	if store == nil {
 		store = pagestore.NewMemStore()
 	}
-	b := &BSSF{scheme: scheme, src: src, metrics: newFacilityMetrics("BSSF"), health: newHealthTracker("BSSF")}
+	b := &bssfIndex{scheme: scheme}
 	for _, opt := range opts {
 		opt(b)
 	}
@@ -105,81 +104,58 @@ func NewBSSF(scheme *signature.Scheme, src SetSource, store pagestore.Store, opt
 	if err != nil {
 		return nil, err
 	}
-	b.count = b.oid.n
-	return b, nil
-}
-
-// Name implements AccessMethod.
-func (b *BSSF) Name() string { return "BSSF" }
-
-// Health implements HealthReporter.
-func (b *BSSF) Health() HealthState { return b.health.get() }
-
-// MarkRepaired implements Repairer.
-func (b *BSSF) MarkRepaired() { b.health.reset() }
-
-// Count implements AccessMethod.
-func (b *BSSF) Count() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.oid.live
+	b.n = b.oid.n
+	return &BSSF{shell: newShell(KindBSSF, scheme.M(), src, b), ix: b}, nil
 }
 
 // Scheme returns the signature scheme in use.
-func (b *BSSF) Scheme() *signature.Scheme { return b.scheme }
+func (b *BSSF) Scheme() *signature.Scheme { return b.ix.scheme }
 
 // SlicePages returns the storage cost of one bit-slice file,
 // ⌈N/(P·b)⌉ in the paper's model.
 func (b *BSSF) SlicePages() int {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	if len(b.slices) == 0 {
+	if len(b.ix.slices) == 0 {
 		return 0
 	}
-	return b.slices[0].NumPages()
+	return b.ix.slices[0].NumPages()
 }
 
 // OIDPages returns SC_OID.
 func (b *BSSF) OIDPages() int {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return b.oid.pages()
+	return b.ix.oid.pages()
 }
 
-// StoragePages implements AccessMethod: SC = ⌈N/(P·b)⌉·F + SC_OID.
-func (b *BSSF) StoragePages() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
+// Compact rebuilds the slice and OID files without tombstoned entries.
+func (b *BSSF) Compact() error { return b.update(b.ix.compact) }
+
+func (b *bssfIndex) count() int { return b.oid.live }
+
+// describe implements index: SC = ⌈N/(P·b)⌉·F + SC_OID.
+func (b *bssfIndex) describe() FacilityStats {
 	n := b.oid.pages()
-	for _, s := range b.slices {
-		n += s.NumPages()
+	for _, f := range b.slices {
+		n += f.NumPages()
 	}
-	return n
+	return FacilityStats{
+		Count:        b.oid.live,
+		AvgSetCard:   b.card.avg(),
+		F:            b.scheme.F(),
+		M:            b.scheme.M(),
+		StoragePages: n,
+	}
 }
 
-// Insert implements AccessMethod. Default cost: one write per 1-bit of
-// the set signature (≈ m_t writes) plus one OID-file write. With
+// insert implements index. Default cost: one write per 1-bit of the set
+// signature (≈ m_t writes) plus one OID-file write. With
 // WithWorstCaseInsert: F + 1 writes, the paper's Table 7 value.
-func (b *BSSF) Insert(oid uint64, elems []string) error {
-	if err := b.health.gateWrite(); err != nil {
-		return err
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if err := b.insert(oid, elems); err != nil {
-		// A partial insert may have left stray bits in the tail caches;
-		// degrading to read-only (for terminal faults) keeps any later
-		// insert from committing them for a different object.
-		b.health.noteWrite(err)
-		return err
-	}
-	return nil
-}
-
-func (b *BSSF) insert(oid uint64, elems []string) error {
+func (b *bssfIndex) insert(oid uint64, elems []string) error {
 	deduped := dedup(elems)
 	sig := b.scheme.SetSignatureStrings(deduped)
-	idx := b.count
+	idx := b.n
 	if idx%bitsPerSlicePage == 0 {
 		// Crossing a page boundary: extend every slice file. Fresh pages
 		// are zeroed, so absent bits need no write.
@@ -208,41 +184,26 @@ func (b *BSSF) insert(oid uint64, elems []string) error {
 	if _, err := b.oid.append(oid); err != nil {
 		return err
 	}
-	b.count++
+	b.n++
 	b.card.add(len(deduped))
 	return nil
 }
 
-// Delete implements AccessMethod: tombstones the OID entry only; slice
-// bits of the deleted object remain and are filtered at OID mapping time,
-// exactly the paper's delete-flag model (UC_D ≈ SC_OID/2).
-func (b *BSSF) Delete(oid uint64, _ []string) error {
-	if err := b.health.gateWrite(); err != nil {
-		return err
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	found, err := b.oid.delete(oid)
-	if err != nil {
-		b.health.noteWrite(err)
-		return err
-	}
-	if !found {
-		return fmt.Errorf("core: BSSF delete: OID %d not present", oid)
-	}
-	return nil
-}
+// delete implements index: tombstones the OID entry only; slice bits of
+// the deleted object remain and are filtered at OID mapping time, exactly
+// the paper's delete-flag model (UC_D ≈ SC_OID/2).
+func (b *bssfIndex) delete(oid uint64, _ []string) error { return b.oid.delete(oid) }
 
 // readSlice loads slice j over all count bit positions, adding the page
 // reads to stats. A slice page is a word-aligned run of positions
 // (bitsPerSlicePage is a multiple of 64), so each page lands in the
 // result with one bulk word copy. Cancellation is checked before each
 // page read.
-func (b *BSSF) readSlice(ctx context.Context, j int, stats *SearchStats) (*bitset.BitSet, error) {
-	out := bitset.New(b.count)
+func (b *bssfIndex) readSlice(ctx context.Context, j int, stats *SearchStats) (*bitset.BitSet, error) {
+	out := bitset.New(b.n)
 	buf := make([]byte, pagestore.PageSize)
 	stats.SlicesRead++
-	for p := 0; p*bitsPerSlicePage < b.count; p++ {
+	for p := 0; p*bitsPerSlicePage < b.n; p++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -260,96 +221,21 @@ func (b *BSSF) readSlice(ctx context.Context, j int, stats *SearchStats) (*bitse
 // each read counts pages into its own per-slice stats, folded into stats
 // in js order — so SlicesRead and IndexPages match a sequential pass
 // exactly.
-func (b *BSSF) readSlices(ctx context.Context, js []int, workers int, stats *SearchStats) ([]*bitset.BitSet, error) {
-	out := make([]*bitset.BitSet, len(js))
-	parts := make([]SearchStats, len(js))
-	err := forEachTask(ctx, workers, len(js), func(i int) error {
-		s, err := b.readSlice(ctx, js[i], &parts[i])
-		if err != nil {
-			return err
-		}
-		out[i] = s
-		return nil
+func (b *bssfIndex) readSlices(ctx context.Context, js []int, workers int, stats *SearchStats) ([]*bitset.BitSet, error) {
+	return scatter(ctx, workers, len(js), stats, func(i int, part *SearchStats) (*bitset.BitSet, error) {
+		return b.readSlice(ctx, js[i], part)
 	})
-	if err != nil {
-		return nil, err
-	}
-	addStats(stats, parts)
-	return out, nil
 }
 
-// Search implements AccessMethod following §4.2's per-query-type slice
-// selection, §5.1.3's smart probe cap (opts.MaxProbeElements) and
-// §5.2.2's smart zero-slice cap (opts.MaxZeroSlices). With
-// opts.Parallelism > 1 the slice reads fan across a worker pool and the
-// AND/OR combine splits its word range across the same workers; AND and
-// OR are commutative, so the Result is identical at any setting.
-func (b *BSSF) Search(pred signature.Predicate, query []string, opts ...SearchOption) (*Result, error) {
-	return b.searchCtx(context.Background(), pred, query, newSearchOptions(opts))
-}
-
-// SearchContext implements AccessMethod: Search with cancellation
-// honored at every slice-page read and worker-task boundary, and trace
-// spans emitted to the WithTrace/context sink. WithSmartRetrieval
-// derives the §5.1.3 probe cap and the §5.2.2 zero-slice cap from the
-// file's own size.
-func (b *BSSF) SearchContext(ctx context.Context, pred signature.Predicate, query []string, opts ...SearchOption) (*Result, error) {
-	return b.searchCtx(ctx, pred, query, newSearchOptions(opts))
-}
-
-func (b *BSSF) searchCtx(ctx context.Context, pred signature.Predicate, query []string, opts *SearchOptions) (res *Result, err error) {
-	if !pred.Valid() {
-		return nil, errInvalidPredicate(pred)
-	}
-	if err := b.health.gateRead(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	defer func() { b.metrics.observe(start, res, err) }()
-	defer func() { b.health.noteRead(err) }()
-	tr := obs.StartTrace(traceSink(ctx, opts), b.Name(), pred.String())
-	defer func() { tr.Finish(err) }()
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	query = dedup(query)
+// candidates implements index following §4.2's per-query-type slice
+// selection, §5.1.3's probe cap (opts.MaxProbeElements) and §5.2.2's
+// zero-slice cap (opts.MaxZeroSlices). With opts.Parallelism > 1 the slice
+// reads fan across a worker pool and the AND/OR combine splits its word
+// range across the same workers; AND and OR are commutative, so the
+// candidate list is identical at any setting.
+func (b *bssfIndex) candidates(ctx context.Context, pred signature.Predicate, query []string, opts SearchOptions, stats *SearchStats, tr *obs.Trace) ([]uint64, error) {
+	qsig := b.scheme.SetSignatureStrings(probeElements(query, opts, pred))
 	workers := searchWorkers(opts)
-	stats := SearchStats{QueryCardinality: len(query)}
-
-	candidates, err := b.candidatesLocked(ctx, pred, query, opts, &stats, tr)
-	if err != nil {
-		return nil, err
-	}
-
-	phase := tr.Begin()
-	results, err := verifyCandidates(ctx, b.src, pred, query, candidates, &stats, workers)
-	if err != nil {
-		return nil, err
-	}
-	tr.End(obs.PhaseResolve, phase, stats.ObjectFetches)
-	return &Result{OIDs: results, Stats: stats}, nil
-}
-
-// candidatesLocked runs the slice-scan and OID-map phases of a search
-// and returns the candidate OIDs, leaving false-drop resolution to the
-// caller. The caller must hold b.mu (shared or exclusive) and pass the
-// deduplicated query. Smart caps left at zero are filled from this
-// file's own count, so a caller fanning one search across several
-// segments should pin explicit caps first if it wants uniform filters.
-func (b *BSSF) candidatesLocked(ctx context.Context, pred signature.Predicate, query []string, opts *SearchOptions, stats *SearchStats, tr *obs.Trace) ([]uint64, error) {
-	if opts != nil && opts.Smart {
-		o := *opts
-		if o.MaxProbeElements == 0 {
-			o.MaxProbeElements = smartProbeCap(b.count, b.scheme.M())
-		}
-		if o.MaxZeroSlices == 0 {
-			o.MaxZeroSlices = smartZeroSliceCap(b.count)
-		}
-		opts = &o
-	}
-	probe := probeElements(query, opts, pred)
-	qsig := b.scheme.SetSignatureStrings(probe)
-	workers := searchWorkers(opts)
-	stats.ProbedElements = len(probe)
 
 	phase := tr.Begin()
 	var candidateBits *bitset.BitSet
@@ -358,11 +244,7 @@ func (b *BSSF) candidatesLocked(ctx context.Context, pred signature.Predicate, q
 	case signature.Superset, signature.Contains:
 		candidateBits, err = b.andOnes(ctx, qsig, workers, stats)
 	case signature.Subset:
-		maxZero := 0
-		if opts != nil {
-			maxZero = opts.MaxZeroSlices
-		}
-		candidateBits, err = b.orZerosComplement(ctx, qsig, maxZero, workers, stats)
+		candidateBits, err = b.orZerosComplement(ctx, qsig, opts.MaxZeroSlices, workers, stats)
 	case signature.Overlap:
 		candidateBits, err = b.orOnes(ctx, qsig, workers, stats)
 	case signature.Equals:
@@ -394,31 +276,13 @@ func (b *BSSF) candidatesLocked(ctx context.Context, pred signature.Predicate, q
 	return candidates, nil
 }
 
-// segmentCandidates implements segmentSearcher: the candidate phases of
-// a search under this facility's own shared lock, untraced.
-func (b *BSSF) segmentCandidates(ctx context.Context, pred signature.Predicate, query []string, opts *SearchOptions, stats *SearchStats) ([]uint64, error) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.candidatesLocked(ctx, pred, query, opts, stats, nil)
-}
-
-// liveOIDs implements segmentSearcher: every non-tombstoned OID in
-// storage order.
-func (b *BSSF) liveOIDs() ([]uint64, error) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	var out []uint64
-	err := b.oid.scan(func(_ int, oid uint64) error {
-		out = append(out, oid)
-		return nil
-	})
-	return out, err
-}
+// liveOIDs implements index: every non-tombstoned OID in storage order.
+func (b *bssfIndex) liveOIDs() ([]uint64, error) { return b.oid.liveOIDs() }
 
 // andOnes ANDs the slices at the query signature's one-positions; an
 // empty probe yields all positions (everything matches a vacuous ⊇).
-func (b *BSSF) andOnes(ctx context.Context, qsig *bitset.BitSet, workers int, stats *SearchStats) (*bitset.BitSet, error) {
-	acc := bitset.New(b.count)
+func (b *bssfIndex) andOnes(ctx context.Context, qsig *bitset.BitSet, workers int, stats *SearchStats) (*bitset.BitSet, error) {
+	acc := bitset.New(b.n)
 	acc.Fill()
 	slices, err := b.readSlices(ctx, qsig.Ones(), workers, stats)
 	if err != nil {
@@ -432,8 +296,8 @@ func (b *BSSF) andOnes(ctx context.Context, qsig *bitset.BitSet, workers int, st
 }
 
 // orOnes ORs the slices at the query's one-positions (overlap search).
-func (b *BSSF) orOnes(ctx context.Context, qsig *bitset.BitSet, workers int, stats *SearchStats) (*bitset.BitSet, error) {
-	acc := bitset.New(b.count)
+func (b *bssfIndex) orOnes(ctx context.Context, qsig *bitset.BitSet, workers int, stats *SearchStats) (*bitset.BitSet, error) {
+	acc := bitset.New(b.n)
 	slices, err := b.readSlices(ctx, qsig.Ones(), workers, stats)
 	if err != nil {
 		return nil, err
@@ -446,12 +310,12 @@ func (b *BSSF) orOnes(ctx context.Context, qsig *bitset.BitSet, workers int, sta
 // complements: surviving positions have 0 at every scanned zero slice —
 // the T ⊆ Q match condition. maxZero > 0 caps how many zero slices are
 // scanned (smart strategy; the filter stays sound, just weaker).
-func (b *BSSF) orZerosComplement(ctx context.Context, qsig *bitset.BitSet, maxZero, workers int, stats *SearchStats) (*bitset.BitSet, error) {
+func (b *bssfIndex) orZerosComplement(ctx context.Context, qsig *bitset.BitSet, maxZero, workers int, stats *SearchStats) (*bitset.BitSet, error) {
 	zeros := qsig.Zeros()
 	if maxZero > 0 && len(zeros) > maxZero {
 		zeros = zeros[:maxZero]
 	}
-	acc := bitset.New(b.count)
+	acc := bitset.New(b.n)
 	slices, err := b.readSlices(ctx, zeros, workers, stats)
 	if err != nil {
 		return nil, err
@@ -461,10 +325,9 @@ func (b *BSSF) orZerosComplement(ctx context.Context, qsig *bitset.BitSet, maxZe
 	return acc, nil
 }
 
-// Compact rebuilds the slice and OID files without tombstoned entries.
-func (b *BSSF) Compact() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
+// compact rewrites the slice and OID files in place without the
+// tombstoned entries.
+func (b *bssfIndex) compact() error {
 	// Collect live entries in index order.
 	type live struct {
 		idx int
@@ -554,8 +417,8 @@ func (b *BSSF) Compact() error {
 		b.oid.n++
 		b.oid.live++
 	}
-	b.count = newCount
+	b.n = newCount
 	return nil
 }
 
-var _ AccessMethod = (*BSSF)(nil)
+var _ subFacility = (*BSSF)(nil)

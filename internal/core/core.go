@@ -1,5 +1,7 @@
-// Package core implements the paper's contribution: three set access
+// Package core implements the paper's contribution: set access
 // facilities for OODB queries with set predicates, behind one interface.
+// The paper evaluates three, and a fourth organization fills in the
+// design space between the first two:
 //
 //   - SSF, the sequential signature file (§4.1): set signatures stored
 //     row-wise plus an OID file; retrieval scans the whole signature file.
@@ -7,8 +9,14 @@
 //     signature bit position; retrieval reads only the needed slices.
 //   - NIX, the nested index (§4.3): a B⁺-tree from set element to the OIDs
 //     of objects containing it.
+//   - FSSF, the frame-sliced signature file (an extension; §3.1 leaves
+//     the physical organization open): the signature split into frames,
+//     one file per frame.
 //
-// All three support the paper's two query types T ⊇ Q and T ⊆ Q as well as
+// Each is an index — a candidate generator plus its update logic — under
+// the one search-and-update shell of shell.go, and composes with the LSM
+// write path and with sharding, which are indexes over facilities. All
+// four support the paper's two query types T ⊇ Q and T ⊆ Q as well as
 // the overlap, equality and membership operators listed in §2, and the
 // "smart object retrieval" strategies of §5.1.3 and §5.2.2. Every search
 // reports its cost decomposed exactly as the paper's retrieval-cost
@@ -131,12 +139,11 @@ type SearchOptions struct {
 	Trace TraceSink
 }
 
-var defaultOptions = SearchOptions{}
-
 // AccessMethod is a set access facility over one indexed set-valued
-// attribute. Implementations are SSF, BSSF and NIX.
+// attribute. Implementations are SSF, BSSF, FSSF and NIX, and the LSM
+// and ShardedFacility compositions of them.
 type AccessMethod interface {
-	// Name identifies the facility ("SSF", "BSSF", "NIX").
+	// Name identifies the facility ("SSF", "BSSF", "FSSF", "NIX").
 	Name() string
 	// Insert registers an object's indexed set value. OIDs must be
 	// nonzero and unique.
@@ -188,10 +195,7 @@ func dedup(elems []string) []string {
 }
 
 // probeElements applies the smart-⊇ element cap to a deduplicated query.
-func probeElements(query []string, opts *SearchOptions, pred signature.Predicate) []string {
-	if opts == nil {
-		opts = &defaultOptions
-	}
+func probeElements(query []string, opts SearchOptions, pred signature.Predicate) []string {
 	k := opts.MaxProbeElements
 	if k <= 0 || k >= len(query) {
 		return query

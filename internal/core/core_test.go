@@ -417,7 +417,7 @@ func TestBSSFInsertCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wcWrites int64
-	for _, f := range wc.slices {
+	for _, f := range wc.ix.slices {
 		wcWrites += f.Stats().Writes()
 	}
 	if wcWrites != int64(scheme.F()) {

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
-	"time"
 
 	"sigfile/internal/bitset"
 	"sigfile/internal/obs"
@@ -29,27 +27,28 @@ import (
 //	  (≤ min(Dt, K) + 1, far below BSSF's m_t + 1).
 //
 // An FSSF is safe for concurrent use: searches run in parallel with each
-// other; updates exclude searches and one another through an internal
-// readers-writer lock.
+// other; updates exclude searches and one another through the shell's
+// readers-writer lock (the tail caches and count are mutated on every
+// insert).
 type FSSF struct {
-	// mu: searches hold it shared, updates exclusive (the tail caches
-	// and count are mutated on every insert).
-	mu     sync.RWMutex
+	*shell
+	ix *fssfIndex
+}
+
+// fssfIndex is FSSF's index: the frame files, the OID file and the
+// per-predicate frame selection.
+type fssfIndex struct {
 	scheme *signature.FrameScheme
-	src    SetSource
 	frames []pagestore.File
 	oid    *oidFile
-	count  int
+	n      int // frame records appended (live + stale)
 
 	recBytes    int // bytes per frame record (⌈S/8⌉)
 	recsPerPage int
 	tails       [][]byte
 
-	// card accumulates inserted set cardinalities for Describe.
+	// card accumulates inserted set cardinalities for describe.
 	card cardStats
-
-	metrics *facilityMetrics
-	health  *healthTracker
 }
 
 // NewFSSF creates (or reopens) a frame-sliced signature file in store
@@ -65,13 +64,10 @@ func NewFSSF(scheme *signature.FrameScheme, src SetSource, store pagestore.Store
 		store = pagestore.NewMemStore()
 	}
 	recBytes := bitset.ByteLen(scheme.S())
-	f := &FSSF{
+	f := &fssfIndex{
 		scheme:      scheme,
-		src:         src,
 		recBytes:    recBytes,
 		recsPerPage: pagestore.PageSize / recBytes,
-		metrics:     newFacilityMetrics("FSSF"),
-		health:      newHealthTracker("FSSF"),
 	}
 	if f.recsPerPage == 0 {
 		return nil, fmt.Errorf("core: frame size S=%d (%d bytes) exceeds page size", scheme.S(), recBytes)
@@ -98,80 +94,54 @@ func NewFSSF(scheme *signature.FrameScheme, src SetSource, store pagestore.Store
 	if f.oid, err = newOIDFile(oidF); err != nil {
 		return nil, err
 	}
-	f.count = f.oid.n
-	return f, nil
-}
-
-// Name implements AccessMethod.
-func (f *FSSF) Name() string { return "FSSF" }
-
-// Health implements HealthReporter.
-func (f *FSSF) Health() HealthState { return f.health.get() }
-
-// MarkRepaired implements Repairer.
-func (f *FSSF) MarkRepaired() { f.health.reset() }
-
-// Count implements AccessMethod.
-func (f *FSSF) Count() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.oid.live
+	f.n = f.oid.n
+	return &FSSF{shell: newShell(KindFSSF, scheme.M(), src, f), ix: f}, nil
 }
 
 // Scheme returns the frame scheme in use.
-func (f *FSSF) Scheme() *signature.FrameScheme { return f.scheme }
+func (f *FSSF) Scheme() *signature.FrameScheme { return f.ix.scheme }
 
 // FramePages returns the storage cost of one frame file in pages.
 func (f *FSSF) FramePages() int {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	if len(f.frames) == 0 {
+	if len(f.ix.frames) == 0 {
 		return 0
 	}
-	return f.frames[0].NumPages()
+	return f.ix.frames[0].NumPages()
 }
 
 // OIDPages returns SC_OID.
 func (f *FSSF) OIDPages() int {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	return f.oid.pages()
+	return f.ix.oid.pages()
 }
 
-// StoragePages implements AccessMethod.
-func (f *FSSF) StoragePages() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
+func (f *fssfIndex) count() int { return f.oid.live }
+
+// describe implements index.
+func (f *fssfIndex) describe() FacilityStats {
 	n := f.oid.pages()
 	for _, file := range f.frames {
 		n += file.NumPages()
 	}
-	return n
+	return FacilityStats{
+		Count:        f.oid.live,
+		AvgSetCard:   f.card.avg(),
+		F:            f.scheme.F(),
+		M:            f.scheme.M(),
+		Frames:       f.scheme.K(),
+		StoragePages: n,
+	}
 }
 
-// Insert implements AccessMethod. Cost: one page write per frame the
-// object's elements hash to, plus one OID-file write.
-func (f *FSSF) Insert(oid uint64, elems []string) error {
-	if err := f.health.gateWrite(); err != nil {
-		return err
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err := f.insert(oid, elems); err != nil {
-		// A failed insert may have written some frames but not others;
-		// the slot is masked while count excludes it, but a later
-		// successful insert would inherit the stale frame records.
-		// Degrading on terminal faults closes that window.
-		f.health.noteWrite(err)
-		return err
-	}
-	return nil
-}
-
-func (f *FSSF) insert(oid uint64, elems []string) error {
+// insert implements index. Cost: one page write per frame the object's
+// elements hash to, plus one OID-file write.
+func (f *fssfIndex) insert(oid uint64, elems []string) error {
 	deduped := dedup(elems)
 	sig := f.scheme.SetSignature(deduped)
-	idx := f.count
+	idx := f.n
 	slot := idx % f.recsPerPage
 	if slot == 0 {
 		for j, file := range f.frames {
@@ -193,39 +163,24 @@ func (f *FSSF) insert(oid uint64, elems []string) error {
 	if _, err := f.oid.append(oid); err != nil {
 		return err
 	}
-	f.count++
+	f.n++
 	f.card.add(len(deduped))
 	return nil
 }
 
-// Delete implements AccessMethod: tombstones the OID entry, like the
-// other signature files.
-func (f *FSSF) Delete(oid uint64, _ []string) error {
-	if err := f.health.gateWrite(); err != nil {
-		return err
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	found, err := f.oid.delete(oid)
-	if err != nil {
-		f.health.noteWrite(err)
-		return err
-	}
-	if !found {
-		return fmt.Errorf("core: FSSF delete: OID %d not present", oid)
-	}
-	return nil
-}
+// delete implements index: tombstones the OID entry, like the other
+// signature files.
+func (f *fssfIndex) delete(oid uint64, _ []string) error { return f.oid.delete(oid) }
 
 // scanFrame reads frame file j over all count records, invoking fn with
 // each record's index and content. The record bitset is reused between
 // calls; fn must not retain it. It allocates its own buffers, so
 // concurrent scans of different frames share nothing.
-func (f *FSSF) scanFrame(ctx context.Context, j int, stats *SearchStats, fn func(idx int, rec *bitset.BitSet)) error {
+func (f *fssfIndex) scanFrame(ctx context.Context, j int, stats *SearchStats, fn func(idx int, rec *bitset.BitSet)) error {
 	buf := make([]byte, pagestore.PageSize)
 	rec := bitset.New(f.scheme.S())
 	stats.SlicesRead++
-	for p := 0; p*f.recsPerPage < f.count; p++ {
+	for p := 0; p*f.recsPerPage < f.n; p++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -233,7 +188,7 @@ func (f *FSSF) scanFrame(ctx context.Context, j int, stats *SearchStats, fn func
 			return fmt.Errorf("core: read frame %d page %d: %w", j, p, err)
 		}
 		stats.IndexPages++
-		limit := f.count - p*f.recsPerPage
+		limit := f.n - p*f.recsPerPage
 		if limit > f.recsPerPage {
 			limit = f.recsPerPage
 		}
@@ -251,92 +206,27 @@ func (f *FSSF) scanFrame(ctx context.Context, j int, stats *SearchStats, fn func
 // scan building its own position mask (bit idx set iff pass reported the
 // record qualifying) and counting pages locally; the per-frame stats are
 // folded into stats in js order, so the counts match a sequential pass.
-func (f *FSSF) frameMasks(ctx context.Context, js []int, workers int, stats *SearchStats, pass func(j int, rec *bitset.BitSet) bool) ([]*bitset.BitSet, error) {
-	masks := make([]*bitset.BitSet, len(js))
-	parts := make([]SearchStats, len(js))
-	err := forEachTask(ctx, workers, len(js), func(i int) error {
+func (f *fssfIndex) frameMasks(ctx context.Context, js []int, workers int, stats *SearchStats, pass func(j int, rec *bitset.BitSet) bool) ([]*bitset.BitSet, error) {
+	return scatter(ctx, workers, len(js), stats, func(i int, part *SearchStats) (*bitset.BitSet, error) {
 		j := js[i]
-		mask := bitset.New(f.count)
-		err := f.scanFrame(ctx, j, &parts[i], func(idx int, rec *bitset.BitSet) {
+		mask := bitset.New(f.n)
+		err := f.scanFrame(ctx, j, part, func(idx int, rec *bitset.BitSet) {
 			if pass(j, rec) {
 				mask.Set(idx)
 			}
 		})
-		if err != nil {
-			return err
-		}
-		masks[i] = mask
-		return nil
+		return mask, err
 	})
-	if err != nil {
-		return nil, err
-	}
-	addStats(stats, parts)
-	return masks, nil
 }
 
-// Search implements AccessMethod. With opts.Parallelism > 1 the frame
-// scans run on a worker pool, each producing a per-frame qualifying
-// mask; the masks are then intersected or unioned — both commutative —
-// so the Result is identical at any setting.
-func (f *FSSF) Search(pred signature.Predicate, query []string, opts ...SearchOption) (*Result, error) {
-	return f.searchCtx(context.Background(), pred, query, newSearchOptions(opts))
-}
-
-// SearchContext implements AccessMethod: Search with cancellation
-// honored at every frame-page read and worker-task boundary, and trace
-// spans emitted to the WithTrace/context sink. WithSmartRetrieval caps
-// the T ⊇ Q probe à la §5.1.3, reading fewer frame files.
-func (f *FSSF) SearchContext(ctx context.Context, pred signature.Predicate, query []string, opts ...SearchOption) (*Result, error) {
-	return f.searchCtx(ctx, pred, query, newSearchOptions(opts))
-}
-
-func (f *FSSF) searchCtx(ctx context.Context, pred signature.Predicate, query []string, opts *SearchOptions) (res *Result, err error) {
-	if !pred.Valid() {
-		return nil, errInvalidPredicate(pred)
-	}
-	if err := f.health.gateRead(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	defer func() { f.metrics.observe(start, res, err) }()
-	defer func() { f.health.noteRead(err) }()
-	tr := obs.StartTrace(traceSink(ctx, opts), f.Name(), pred.String())
-	defer func() { tr.Finish(err) }()
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	query = dedup(query)
-	workers := searchWorkers(opts)
-	stats := SearchStats{QueryCardinality: len(query)}
-
-	candidates, err := f.candidatesLocked(ctx, pred, query, opts, &stats, tr)
-	if err != nil {
-		return nil, err
-	}
-
-	phase := tr.Begin()
-	results, err := verifyCandidates(ctx, f.src, pred, query, candidates, &stats, workers)
-	if err != nil {
-		return nil, err
-	}
-	tr.End(obs.PhaseResolve, phase, stats.ObjectFetches)
-	return &Result{OIDs: results, Stats: stats}, nil
-}
-
-// candidatesLocked runs the frame-scan and OID-map phases of a search
-// and returns the candidate OIDs, leaving false-drop resolution to the
-// caller. The caller must hold f.mu (shared or exclusive) and pass the
-// deduplicated query. The smart probe cap, if left at zero, is filled
-// from this file's own count.
-func (f *FSSF) candidatesLocked(ctx context.Context, pred signature.Predicate, query []string, opts *SearchOptions, stats *SearchStats, tr *obs.Trace) ([]uint64, error) {
-	if opts != nil && opts.Smart && opts.MaxProbeElements == 0 {
-		o := *opts
-		o.MaxProbeElements = smartProbeCap(f.count, f.scheme.M())
-		opts = &o
-	}
+// candidates implements index. With opts.Parallelism > 1 the frame scans
+// run on a worker pool, each producing a per-frame qualifying mask; the
+// masks are then intersected or unioned — both commutative — so the
+// candidate list is identical at any setting. A probe cap reads fewer
+// frame files on T ⊇ Q à la §5.1.3.
+func (f *fssfIndex) candidates(ctx context.Context, pred signature.Predicate, query []string, opts SearchOptions, stats *SearchStats, tr *obs.Trace) ([]uint64, error) {
 	probe := probeElements(query, opts, pred)
 	workers := searchWorkers(opts)
-	stats.ProbedElements = len(probe)
 
 	phase := tr.Begin()
 	var candidateBits *bitset.BitSet
@@ -366,31 +256,13 @@ func (f *FSSF) candidatesLocked(ctx context.Context, pred signature.Predicate, q
 	return candidates, nil
 }
 
-// segmentCandidates implements segmentSearcher: the candidate phases of
-// a search under this facility's own shared lock, untraced.
-func (f *FSSF) segmentCandidates(ctx context.Context, pred signature.Predicate, query []string, opts *SearchOptions, stats *SearchStats) ([]uint64, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.candidatesLocked(ctx, pred, query, opts, stats, nil)
-}
-
-// liveOIDs implements segmentSearcher: every non-tombstoned OID in
-// storage order.
-func (f *FSSF) liveOIDs() ([]uint64, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	var out []uint64
-	err := f.oid.scan(func(_ int, oid uint64) error {
-		out = append(out, oid)
-		return nil
-	})
-	return out, err
-}
+// liveOIDs implements index: every non-tombstoned OID in storage order.
+func (f *fssfIndex) liveOIDs() ([]uint64, error) { return f.oid.liveOIDs() }
 
 // supersetCandidates reads only the frames the probe elements hash to:
 // a target qualifies if, in every touched frame, its frame content
 // covers the union of the probe elements' bits there.
-func (f *FSSF) supersetCandidates(ctx context.Context, probe []string, workers int, stats *SearchStats) (*bitset.BitSet, error) {
+func (f *fssfIndex) supersetCandidates(ctx context.Context, probe []string, workers int, stats *SearchStats) (*bitset.BitSet, error) {
 	need := make(map[int]*bitset.BitSet)
 	for _, e := range probe {
 		frame, bits := f.scheme.ElementFrame([]byte(e))
@@ -407,7 +279,7 @@ func (f *FSSF) supersetCandidates(ctx context.Context, probe []string, workers i
 	if err != nil {
 		return nil, err
 	}
-	acc := bitset.New(f.count)
+	acc := bitset.New(f.n)
 	acc.Fill()
 	bitset.AndAll(acc, masks, workers)
 	return acc, nil
@@ -415,7 +287,7 @@ func (f *FSSF) supersetCandidates(ctx context.Context, probe []string, workers i
 
 // subsetCandidates reads every frame: a target qualifies if each of its
 // frame contents is contained in the query's.
-func (f *FSSF) subsetCandidates(ctx context.Context, query []string, workers int, stats *SearchStats) (*bitset.BitSet, error) {
+func (f *fssfIndex) subsetCandidates(ctx context.Context, query []string, workers int, stats *SearchStats) (*bitset.BitSet, error) {
 	qsig := f.scheme.SetSignature(query)
 	empty := bitset.New(f.scheme.S())
 	qframe := func(j int) *bitset.BitSet {
@@ -430,7 +302,7 @@ func (f *FSSF) subsetCandidates(ctx context.Context, query []string, workers int
 	if err != nil {
 		return nil, err
 	}
-	acc := bitset.New(f.count)
+	acc := bitset.New(f.n)
 	acc.Fill()
 	bitset.AndAll(acc, masks, workers)
 	return acc, nil
@@ -438,7 +310,7 @@ func (f *FSSF) subsetCandidates(ctx context.Context, query []string, workers int
 
 // overlapCandidates marks targets whose frame contains all bits of at
 // least one query element — a finer filter than bit-level intersection.
-func (f *FSSF) overlapCandidates(ctx context.Context, query []string, workers int, stats *SearchStats) (*bitset.BitSet, error) {
+func (f *fssfIndex) overlapCandidates(ctx context.Context, query []string, workers int, stats *SearchStats) (*bitset.BitSet, error) {
 	perFrame := make(map[int][]*bitset.BitSet)
 	for _, e := range query {
 		frame, bits := f.scheme.ElementFrame([]byte(e))
@@ -459,14 +331,14 @@ func (f *FSSF) overlapCandidates(ctx context.Context, query []string, workers in
 	if err != nil {
 		return nil, err
 	}
-	acc := bitset.New(f.count)
+	acc := bitset.New(f.n)
 	bitset.OrAll(acc, masks, workers)
 	return acc, nil
 }
 
 // equalsCandidates reads every frame: the target's frame content must
 // equal the query signature's in each frame.
-func (f *FSSF) equalsCandidates(ctx context.Context, query []string, workers int, stats *SearchStats) (*bitset.BitSet, error) {
+func (f *fssfIndex) equalsCandidates(ctx context.Context, query []string, workers int, stats *SearchStats) (*bitset.BitSet, error) {
 	qsig := f.scheme.SetSignature(query)
 	empty := bitset.New(f.scheme.S())
 	qframe := func(j int) *bitset.BitSet {
@@ -481,7 +353,7 @@ func (f *FSSF) equalsCandidates(ctx context.Context, query []string, workers int
 	if err != nil {
 		return nil, err
 	}
-	acc := bitset.New(f.count)
+	acc := bitset.New(f.n)
 	acc.Fill()
 	bitset.AndAll(acc, masks, workers)
 	return acc, nil
@@ -505,4 +377,4 @@ func allFrames(k int) []int {
 	return out
 }
 
-var _ AccessMethod = (*FSSF)(nil)
+var _ subFacility = (*FSSF)(nil)

@@ -57,9 +57,9 @@ var ErrDegraded = errors.New("core: facility degraded: read-only")
 // ErrFailed is returned by every operation on a failed facility.
 var ErrFailed = errors.New("core: facility failed")
 
-// HealthReporter is implemented by facilities that track health. All
-// four shipped facilities and Synchronized implement it; the planner
-// treats anything else as always healthy.
+// HealthReporter is implemented by facilities that track health.
+// Everything Open returns implements it; the planner treats anything
+// else as always healthy.
 type HealthReporter interface {
 	Health() HealthState
 }
@@ -100,6 +100,12 @@ type healthTracker struct {
 	state       atomic.Int32
 	gauge       *obs.Gauge
 	transitions *obs.Counter
+	// shards are the ladders of a sharded facility's shards, nil
+	// otherwise. The ladder is per shard — a write fault degrades only the
+	// shard it hit, and only writes routed there are refused — while the
+	// aggregate (worst wins) drives planner routing and the read gate: a
+	// search touches every shard.
+	shards []*healthTracker
 }
 
 // newHealthTracker returns a healthy tracker publishing under facility.
@@ -109,13 +115,25 @@ func newHealthTracker(facility string) *healthTracker {
 	return t
 }
 
-// get returns the current state.
-func (t *healthTracker) get() HealthState { return HealthState(t.state.Load()) }
+// get returns the current state: the worst of the facility's own and
+// its shards'.
+func (t *healthTracker) get() HealthState {
+	worst := t.own()
+	for _, s := range t.shards {
+		if h := s.get(); h > worst {
+			worst = h
+		}
+	}
+	return worst
+}
+
+func (t *healthTracker) own() HealthState { return HealthState(t.state.Load()) }
 
 // gateWrite admits a write on a healthy facility and fails fast
-// otherwise.
+// otherwise. Only the facility's own state counts: the shard a write
+// routes to gates it again on its own ladder.
 func (t *healthTracker) gateWrite() error {
-	switch t.get() {
+	switch t.own() {
 	case Degraded:
 		return ErrDegraded
 	case Failed:
@@ -153,7 +171,7 @@ func (t *healthTracker) noteWrite(err error) {
 func (t *healthTracker) noteRead(err error) {
 	switch pagestore.Classify(err) {
 	case pagestore.ClassTerminal:
-		if t.get() >= Degraded {
+		if t.own() >= Degraded {
 			t.escalateTo(Failed)
 		} else {
 			t.escalateTo(Degraded)
@@ -179,8 +197,12 @@ func (t *healthTracker) escalateTo(s HealthState) {
 	}
 }
 
-// reset returns the facility to healthy after a repair.
+// reset returns the facility (and every shard) to healthy after a
+// repair.
 func (t *healthTracker) reset() {
 	t.state.Store(int32(Healthy))
 	t.gauge.Set(int64(Healthy))
+	for _, s := range t.shards {
+		s.reset()
+	}
 }

@@ -19,30 +19,32 @@ var healthSource = MapSource{
 	4: {"alpha", "beta", "common"},
 }
 
-// eachFacility runs fn once per facility kind over a fresh FaultStore.
+// eachFacility runs fn once per facility kind — and once per composition
+// of the LSM write path and sharding over them — each opened through Open
+// over a fresh FaultStore and loaded with healthSource. The LSM forms
+// flush early enough that the four objects reach sealed segments, so
+// searches read pages.
 func eachFacility(t *testing.T, fn func(t *testing.T, am AccessMethod, fs *pagestore.FaultStore)) {
 	t.Helper()
+	flat := signature.MustNew(32, 4)
 	kinds := []struct {
 		name string
-		open func(store pagestore.Store) (AccessMethod, error)
+		cfg  Config
 	}{
-		{"SSF", func(store pagestore.Store) (AccessMethod, error) {
-			return NewSSF(signature.MustNew(64, 8), healthSource, store)
-		}},
-		{"BSSF", func(store pagestore.Store) (AccessMethod, error) {
-			return NewBSSF(signature.MustNew(32, 4), healthSource, store)
-		}},
-		{"FSSF", func(store pagestore.Store) (AccessMethod, error) {
-			return NewFSSF(signature.MustFrameScheme(2, 32, 4), healthSource, store)
-		}},
-		{"NIX", func(store pagestore.Store) (AccessMethod, error) {
-			return NewNIX(healthSource, store)
-		}},
+		{"SSF", Config{Kind: KindSSF, Scheme: signature.MustNew(64, 8)}},
+		{"BSSF", Config{Kind: KindBSSF, Scheme: flat}},
+		{"FSSF", Config{Kind: KindFSSF, FrameScheme: signature.MustFrameScheme(2, 32, 4)}},
+		{"NIX", Config{Kind: KindNIX}},
+		{"LSM-BSSF", Config{Kind: KindBSSF, Scheme: flat, LSM: true, LSMMemtableOps: 3}},
+		{"Sharded-SSF", Config{Kind: KindSSF, Scheme: flat, Shards: 2}},
+		{"Sharded-LSM-NIX", Config{Kind: KindNIX, LSM: true, LSMMemtableOps: 2, Shards: 2}},
 	}
 	for _, k := range kinds {
 		t.Run(k.name, func(t *testing.T) {
 			fs := pagestore.NewFaultStore(pagestore.NewMemStore())
-			am, err := k.open(fs)
+			cfg := k.cfg
+			cfg.Source = healthSource
+			am, err := Open(cfg, WithStore(fs))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -59,7 +61,8 @@ func eachFacility(t *testing.T, fn func(t *testing.T, am AccessMethod, fs *pages
 // TestTerminalWriteFaultDegrades is the core degraded-mode contract: a
 // disk-full write flips the facility to read-only, searches keep serving
 // the committed state byte-for-byte, and subsequent writes fail fast
-// with ErrDegraded before touching any page.
+// with ErrDegraded before touching any page — single inserts, deletes
+// and bulk loads alike.
 func TestTerminalWriteFaultDegrades(t *testing.T) {
 	eachFacility(t, func(t *testing.T, am AccessMethod, fs *pagestore.FaultStore) {
 		before, err := am.Search(signature.Superset, []string{"common"}, nil)
@@ -84,12 +87,16 @@ func TestTerminalWriteFaultDegrades(t *testing.T) {
 
 		// Fail-fast: the disk is healed, but the facility stays read-only
 		// until an explicit repair — no page is touched on the way out.
+		// (A sharded facility degrades per shard and keeps taking writes
+		// routed elsewhere; TestShardedOneShardDegraded pins that.)
 		fs.Heal()
-		if err := am.Insert(10, []string{"kappa"}); !errors.Is(err, ErrDegraded) {
-			t.Fatalf("insert while degraded = %v, want ErrDegraded", err)
-		}
-		if err := am.Delete(1, healthSource[1]); !errors.Is(err, ErrDegraded) {
-			t.Fatalf("delete while degraded = %v, want ErrDegraded", err)
+		if _, sharded := am.(*ShardedFacility); !sharded {
+			if err := am.Insert(10, []string{"kappa"}); !errors.Is(err, ErrDegraded) {
+				t.Fatalf("insert while degraded = %v, want ErrDegraded", err)
+			}
+			if err := am.Delete(1, healthSource[1]); !errors.Is(err, ErrDegraded) {
+				t.Fatalf("delete while degraded = %v, want ErrDegraded", err)
+			}
 		}
 
 		// Searches serve the committed state byte-identically.
@@ -108,6 +115,30 @@ func TestTerminalWriteFaultDegrades(t *testing.T) {
 		}
 		if err := am.Insert(11, []string{"lambda", "common"}); err != nil {
 			t.Fatalf("insert after repair: %v", err)
+		}
+
+		// Bulk loads pass the same gate. A disk-full landing inside a batch
+		// degrades the facility, and the next batch fails fast with
+		// ErrDegraded — not the storage error — although the disk is still
+		// full. (Each batch spans every shard of a sharded facility, so
+		// both reach the shard the first one degraded.)
+		batch := func(from uint64) []Entry {
+			var entries []Entry
+			for oid := from; oid < from+8; oid++ {
+				entries = append(entries, Entry{OID: oid, Elems: []string{"mu", "common"}})
+			}
+			return entries
+		}
+		fs.FailWritesWith(syscall.ENOSPC)
+		if err := InsertAll(am, batch(20)); !errors.Is(err, syscall.ENOSPC) {
+			t.Fatalf("batch insert on full disk = %v, want ENOSPC in chain", err)
+		}
+		if HealthOf(am) != Degraded {
+			t.Fatalf("health after terminal fault inside a batch = %v, want degraded", HealthOf(am))
+		}
+		err = InsertAll(am, batch(40))
+		if !errors.Is(err, ErrDegraded) || errors.Is(err, syscall.ENOSPC) {
+			t.Fatalf("batch insert while degraded = %v, want ErrDegraded and no storage error", err)
 		}
 	})
 }
@@ -193,32 +224,9 @@ func TestDescribeReportsHealth(t *testing.T) {
 	})
 }
 
-// TestSynchronizedHealthDelegation: the wrapper forwards health and
-// repair to the wrapped facility, and reports healthy for methods that
-// do not track health.
-func TestSynchronizedHealthDelegation(t *testing.T) {
-	fs := pagestore.NewFaultStore(pagestore.NewMemStore())
-	ssf, err := NewSSF(signature.MustNew(64, 8), healthSource, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sync := Synchronize(ssf)
-	if err := sync.Insert(1, healthSource[1]); err != nil {
-		t.Fatal(err)
-	}
-	if sync.Health() != Healthy {
-		t.Fatalf("wrapped health = %v, want healthy", sync.Health())
-	}
-	fs.FailWritesWith(syscall.ENOSPC)
-	_ = sync.Insert(2, healthSource[2])
-	if sync.Health() != Degraded {
-		t.Fatalf("wrapped health = %v, want degraded", sync.Health())
-	}
-	fs.Heal()
-	sync.MarkRepaired()
-	if sync.Health() != Healthy {
-		t.Fatalf("wrapped health after repair = %v, want healthy", sync.Health())
-	}
+// TestHealthOfNonReporter: an AccessMethod that does not track health
+// reads as healthy.
+func TestHealthOfNonReporter(t *testing.T) {
 	if HealthOf(stubAM{}) != Healthy {
 		t.Fatal("non-reporting AccessMethod should read healthy")
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"sigfile/internal/obs"
@@ -26,15 +25,18 @@ import (
 // the per-segment candidate lists are disjoint and results are
 // byte-identical to the legacy path at any parallelism.
 //
-// An LSM is safe for concurrent use under the same discipline as the
-// facilities it wraps: searches share the lock, updates exclude them.
+// An LSM is safe for concurrent use under the same shell as the
+// facilities it wraps: searches share the lock, updates (and flush and
+// compaction, which run on the updating goroutine) exclude them.
 type LSM struct {
-	// mu: searches hold it shared, updates (and flush/compaction, which
-	// run on the updating goroutine) exclusive.
-	mu   sync.RWMutex
-	cfg  Config
-	kind Kind
-	src  SetSource
+	*shell
+	ix *lsmIndex
+}
+
+// lsmIndex is the LSM's index: its candidate generator is "every
+// segment's candidates, filtered by the where-map, plus the memtable's".
+type lsmIndex struct {
+	cfg Config
 
 	store pagestore.Store
 	mem   *lsmMemtable
@@ -53,21 +55,15 @@ type LSM struct {
 	memtableOps  int
 	compactAfter int
 
-	// smartM is the element weight the smart probe cap derives from
-	// (0 for NIX, which probes a single element).
-	smartM int
-
 	// pauses records the wall-clock duration of every compaction, the
 	// stall a writer experienced (compaction runs on the writer's
 	// goroutine under the exclusive lock).
 	pauses []time.Duration
 
-	// card accumulates inserted set cardinalities for Describe.
+	// card accumulates inserted set cardinalities for describe.
 	card cardStats
 
 	manifest pagestore.File
-	metrics  *facilityMetrics
-	health   *healthTracker
 }
 
 // lsmLoc locates one live OID: the segment holding it (or lsmMemtableSeg
@@ -94,31 +90,19 @@ func newLSM(cfg Config, store pagestore.Store) (*LSM, error) {
 	if store == nil {
 		store = pagestore.NewMemStore()
 	}
-	l := &LSM{
+	l := &lsmIndex{
 		cfg:          cfg,
-		kind:         cfg.Kind,
-		src:          cfg.Source,
 		store:        store,
 		mem:          newLSMMemtable(),
 		where:        make(map[uint64]lsmLoc),
 		memtableOps:  cfg.LSMMemtableOps,
 		compactAfter: cfg.LSMCompactAfter,
-		metrics:      newFacilityMetrics(cfg.Kind.String()),
-		health:       newHealthTracker(cfg.Kind.String()),
 	}
 	if l.memtableOps <= 0 {
 		l.memtableOps = defaultLSMMemtableOps
 	}
 	if l.compactAfter <= 1 {
 		l.compactAfter = defaultLSMCompactAfter
-	}
-	switch {
-	case cfg.Kind == KindNIX:
-		l.smartM = 0
-	case cfg.FrameScheme != nil:
-		l.smartM = cfg.FrameScheme.M()
-	case cfg.Scheme != nil:
-		l.smartM = cfg.Scheme.M()
 	}
 	mf, err := store.Open(lsmManifestName)
 	if err != nil {
@@ -178,31 +162,14 @@ func newLSM(cfg Config, store pagestore.Store) (*LSM, error) {
 	}); err != nil {
 		return nil, err
 	}
-	return l, nil
-}
-
-// Name implements AccessMethod: the wrapped facility kind's name, so the
-// planner's per-facility cost formulas apply unchanged.
-func (l *LSM) Name() string { return l.kind.String() }
-
-// Health implements HealthReporter.
-func (l *LSM) Health() HealthState { return l.health.get() }
-
-// MarkRepaired implements Repairer.
-func (l *LSM) MarkRepaired() { l.health.reset() }
-
-// Count implements AccessMethod.
-func (l *LSM) Count() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return len(l.where)
+	return &LSM{shell: newShell(cfg.Kind, cfg.weight(), cfg.Source, l), ix: l}, nil
 }
 
 // Segments returns the number of sealed segments (diagnostics/tests).
 func (l *LSM) Segments() int {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return len(l.segs)
+	return len(l.ix.segs)
 }
 
 // MemtableOps returns the current memtable operation count
@@ -210,7 +177,7 @@ func (l *LSM) Segments() int {
 func (l *LSM) MemtableOps() int {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return l.mem.ops()
+	return l.ix.mem.ops()
 }
 
 // Pauses returns the wall-clock duration of every compaction so far —
@@ -218,53 +185,35 @@ func (l *LSM) MemtableOps() int {
 func (l *LSM) Pauses() []time.Duration {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	out := make([]time.Duration, len(l.pauses))
-	copy(out, l.pauses)
-	return out
+	return append([]time.Duration(nil), l.ix.pauses...)
 }
 
 // Generation returns the current log generation (diagnostics/tests).
 func (l *LSM) Generation() uint64 {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return l.gen
+	return l.ix.gen
 }
 
-// StoragePages implements AccessMethod: the segments' pages plus the
-// log and manifest.
-func (l *LSM) StoragePages() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	n := l.manifest.NumPages() + l.log.npages
-	for _, seg := range l.segs {
-		n += seg.inner.StoragePages()
-	}
-	return n
-}
+// Flush seals the current memtable into a segment (no-op when empty).
+func (l *LSM) Flush() error { return l.update(l.ix.flushLocked) }
 
-// Insert implements AccessMethod: one log append (typically a single
-// page write) plus the in-memory memtable update; the segment build
-// amortizes the signature-file writes over the whole memtable. May
-// trigger a flush and then a compaction before returning.
-func (l *LSM) Insert(oid uint64, elems []string) error {
-	if err := l.health.gateWrite(); err != nil {
-		return err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.insert(oid, elems); err != nil {
-		l.health.noteWrite(err)
-		return err
-	}
-	return nil
-}
+// Compact merges every sealed segment into one, discharging all
+// tombstones. The memtable is untouched — its contents flush into a
+// fresh segment later as usual. Compaction runs on the calling
+// goroutine under the exclusive lock; the stall it causes is recorded
+// in Pauses.
+func (l *LSM) Compact() error { return l.update(l.ix.compactLocked) }
 
-func (l *LSM) insert(oid uint64, elems []string) error {
-	if oid == 0 {
-		return fmt.Errorf("core: OID 0 is reserved")
-	}
+func (l *lsmIndex) count() int { return len(l.where) }
+
+// insert implements index: one log append (typically a single page
+// write) plus the in-memory memtable update; the segment build amortizes
+// the signature-file writes over the whole memtable. May trigger a flush
+// and then a compaction before returning.
+func (l *lsmIndex) insert(oid uint64, elems []string) error {
 	if _, dup := l.where[oid]; dup {
-		return fmt.Errorf("core: %s insert: OID %d already indexed", l.Name(), oid)
+		return fmt.Errorf("core: %s insert: OID %d already indexed", l.cfg.Kind, oid)
 	}
 	deduped := dedup(elems)
 	if err := l.log.appendInsert(oid, deduped); err != nil {
@@ -276,25 +225,23 @@ func (l *LSM) insert(oid uint64, elems []string) error {
 	return l.maybeRoll()
 }
 
-// Delete implements AccessMethod: one log append plus two map updates —
-// O(1), against the legacy paths' SC_OID/2 OID-file scan (signature
-// files) or rc·D_t tree deletions (NIX).
-func (l *LSM) Delete(oid uint64, _ []string) error {
-	if err := l.health.gateWrite(); err != nil {
-		return err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.deleteLocked(oid); err != nil {
-		l.health.noteWrite(err)
-		return err
+// insertBatch implements index: the memtable is the batch, so entries
+// simply insert in order.
+func (l *lsmIndex) insertBatch(entries []Entry) error {
+	for _, e := range entries {
+		if err := l.insert(e.OID, e.Elems); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-func (l *LSM) deleteLocked(oid uint64) error {
+// delete implements index: one log append plus two map updates — O(1),
+// against the legacy paths' SC_OID/2 OID-file scan (signature files) or
+// rc·D_t tree deletions (NIX).
+func (l *lsmIndex) delete(oid uint64, _ []string) error {
 	if _, ok := l.where[oid]; !ok {
-		return fmt.Errorf("core: %s delete: OID %d not present", l.Name(), oid)
+		return fmt.Errorf("core: %s delete: OID %d not present", l.cfg.Kind, oid)
 	}
 	if err := l.log.appendDelete(oid); err != nil {
 		return err
@@ -304,9 +251,18 @@ func (l *LSM) deleteLocked(oid uint64) error {
 	return l.maybeRoll()
 }
 
+// liveOIDs implements index: every live OID, sorted.
+func (l *lsmIndex) liveOIDs() ([]uint64, error) {
+	out := make([]uint64, 0, len(l.where))
+	for oid := range l.where {
+		out = append(out, oid)
+	}
+	return sortedU64(out), nil
+}
+
 // maybeRoll applies the flush and compaction triggers after a mutation.
-// Caller holds l.mu exclusively.
-func (l *LSM) maybeRoll() error {
+// Runs under the shell's exclusive lock.
+func (l *lsmIndex) maybeRoll() error {
 	if l.mem.ops() < l.memtableOps {
 		return nil
 	}
@@ -319,21 +275,7 @@ func (l *LSM) maybeRoll() error {
 	return nil
 }
 
-// Flush seals the current memtable into a segment (no-op when empty).
-func (l *LSM) Flush() error {
-	if err := l.health.gateWrite(); err != nil {
-		return err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.flushLocked(); err != nil {
-		l.health.noteWrite(err)
-		return err
-	}
-	return nil
-}
-
-func (l *LSM) flushLocked() error {
+func (l *lsmIndex) flushLocked() error {
 	if l.mem.ops() == 0 {
 		return nil
 	}
@@ -379,7 +321,7 @@ func (l *LSM) flushLocked() error {
 }
 
 // writeManifestLocked persists the segment list and generation.
-func (l *LSM) writeManifestLocked() error {
+func (l *lsmIndex) writeManifestLocked() error {
 	man := &lsmManifest{Gen: l.gen, NextSeg: l.nextSeg, Segments: make([]lsmSegMeta, len(l.segs))}
 	for i, seg := range l.segs {
 		man.Segments[i] = seg.meta
@@ -387,80 +329,20 @@ func (l *LSM) writeManifestLocked() error {
 	return writeManifest(l.manifest, man)
 }
 
-// Search implements AccessMethod.
-func (l *LSM) Search(pred signature.Predicate, query []string, opts ...SearchOption) (*Result, error) {
-	return l.searchCtx(context.Background(), pred, query, newSearchOptions(opts))
-}
-
-// SearchContext implements AccessMethod: the search scatter-gathers
-// across the memtable and every sealed segment, then resolves all
-// candidates in one verification pass. Cancellation is honored at every
-// segment-page read and worker-task boundary; WithSmartRetrieval caps
-// derive from the total live count so every segment applies the same
-// filter strength.
-func (l *LSM) SearchContext(ctx context.Context, pred signature.Predicate, query []string, opts ...SearchOption) (*Result, error) {
-	return l.searchCtx(ctx, pred, query, newSearchOptions(opts))
-}
-
-func (l *LSM) searchCtx(ctx context.Context, pred signature.Predicate, query []string, opts *SearchOptions) (res *Result, err error) {
-	if !pred.Valid() {
-		return nil, errInvalidPredicate(pred)
-	}
-	if err := l.health.gateRead(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	defer func() { l.metrics.observe(start, res, err) }()
-	defer func() { l.health.noteRead(err) }()
-	tr := obs.StartTrace(traceSink(ctx, opts), l.Name(), pred.String())
-	defer func() { tr.Finish(err) }()
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-
-	// Pin the smart caps from the total live count so every segment
-	// applies the same filter strength regardless of its own size. The
-	// per-segment massage only fills zero-valued caps, so explicit values
-	// here win.
-	if opts != nil && opts.Smart {
-		o := *opts
-		if o.MaxProbeElements == 0 {
-			if l.kind == KindNIX {
-				o.MaxProbeElements = 1
-			} else if l.smartM > 0 {
-				o.MaxProbeElements = smartProbeCap(len(l.where), l.smartM)
-			}
-		}
-		if o.MaxZeroSlices == 0 && l.kind == KindBSSF {
-			o.MaxZeroSlices = smartZeroSliceCap(len(l.where))
-		}
-		opts = &o
-	}
-	query = dedup(query)
-	probe := probeElements(query, opts, pred)
-	workers := searchWorkers(opts)
-	stats := SearchStats{QueryCardinality: len(query), ProbedElements: len(probe)}
-
-	// The per-segment searches must not re-trace or re-massage: strip
-	// the trace sink and the smart flag, keeping the pinned caps.
-	var segOpts *SearchOptions
-	if opts != nil {
-		o := *opts
-		o.Smart = false
-		o.Trace = nil
-		segOpts = &o
-	}
-
+// candidates implements index: the search scatter-gathers across every
+// sealed segment and the memtable, leaving all candidates to the shell's
+// one verification pass. The caps in opts were pinned from the total
+// live count, so every segment applies the same filter strength.
+func (l *lsmIndex) candidates(ctx context.Context, pred signature.Predicate, query []string, opts SearchOptions, stats *SearchStats, tr *obs.Trace) ([]uint64, error) {
 	// Index phase: every segment's candidate scan, fanned across the
-	// worker pool with per-segment result and stats slots folded in
-	// segment order — deterministic at any parallelism.
+	// worker pool and gathered in segment order — deterministic at any
+	// parallelism.
 	phase := tr.Begin()
-	segCands := make([][]uint64, len(l.segs))
-	parts := make([]SearchStats, len(l.segs))
-	err = forEachTask(ctx, workers, len(l.segs), func(i int) error {
+	segCands, err := scatter(ctx, searchWorkers(opts), len(l.segs), stats, func(i int, part *SearchStats) ([]uint64, error) {
 		seg := l.segs[i]
-		cands, err := seg.inner.segmentCandidates(ctx, pred, query, segOpts, &parts[i])
+		cands, err := seg.inner.segmentCandidates(ctx, pred, query, opts, part)
 		if err != nil {
-			return fmt.Errorf("core: lsm segment %d search: %w", seg.id, err)
+			return nil, fmt.Errorf("core: lsm segment %d search: %w", seg.id, err)
 		}
 		// Keep only candidates this segment still owns: an OID deleted or
 		// re-inserted later resolves elsewhere (or nowhere), and the
@@ -483,13 +365,11 @@ func (l *LSM) searchCtx(ctx context.Context, pred signature.Predicate, query []s
 				}
 			}
 		}
-		segCands[i] = kept
-		return nil
+		return kept, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	addStats(&stats, parts)
 	tr.End(obs.PhaseIndexScan, phase, stats.IndexPages)
 
 	// OID-map phase: the per-segment OID reads already happened inside
@@ -506,63 +386,40 @@ func (l *LSM) searchCtx(ctx context.Context, pred signature.Predicate, query []s
 	}
 	candidates = append(candidates, memCands...)
 	tr.End(obs.PhaseOIDMap, phase, stats.OIDPages)
-
-	phase = tr.Begin()
-	results, err := verifyCandidates(ctx, l.src, pred, query, candidates, &stats, workers)
-	if err != nil {
-		return nil, err
-	}
-	tr.End(obs.PhaseResolve, phase, stats.ObjectFetches)
-	return &Result{OIDs: results, Stats: stats}, nil
+	return candidates, nil
 }
 
-// Describe implements Describer. SegmentCounts and MemtableCount let the
-// planner add the per-segment scatter overhead to its RC estimates.
-func (l *LSM) Describe() FacilityStats {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
+// describe implements index. SegmentCounts and MemtableCount let the
+// planner add the per-segment scatter overhead to its RC estimates;
+// StoragePages is the segments' pages plus the log and manifest.
+func (l *lsmIndex) describe() FacilityStats {
 	st := FacilityStats{
-		Facility:      l.Name(),
 		Count:         len(l.where),
 		AvgSetCard:    l.card.avg(),
 		MemtableCount: len(l.mem.entries),
-		Health:        l.health.get(),
 	}
-	if l.kind != KindNIX {
-		if l.cfg.FrameScheme != nil {
-			st.F = l.cfg.FrameScheme.K() * l.cfg.FrameScheme.S()
-			st.M = l.cfg.FrameScheme.M()
-			st.Frames = l.cfg.FrameScheme.K()
-		} else if l.cfg.Scheme != nil {
-			st.F = l.cfg.Scheme.F()
-			st.M = l.cfg.Scheme.M()
-		}
-		if l.kind == KindFSSF && st.Frames == 0 {
-			if fs, err := deriveFrameScheme(l.cfg.Scheme, l.cfg.Frames); err == nil {
-				st.Frames = fs.K()
-			}
-		}
+	switch {
+	case l.cfg.Kind == KindNIX:
+	case l.cfg.FrameScheme != nil:
+		st.F = l.cfg.FrameScheme.F()
+		st.M = l.cfg.FrameScheme.M()
+		st.Frames = l.cfg.FrameScheme.K()
+	case l.cfg.Scheme != nil:
+		st.F = l.cfg.Scheme.F()
+		st.M = l.cfg.Scheme.M()
 	}
-	n := l.manifest.NumPages() + l.log.npages
+	st.StoragePages = l.manifest.NumPages() + l.log.npages
 	for _, seg := range l.segs {
 		inner := seg.inner.Describe()
-		n += inner.StoragePages
+		st.StoragePages += inner.StoragePages
 		st.SegmentCounts = append(st.SegmentCounts, seg.meta.Count+len(seg.meta.Empties))
-		if l.kind == KindNIX {
-			st.DistinctElems += inner.DistinctElems
-			if inner.LookupPages > st.LookupPages {
-				st.LookupPages = inner.LookupPages
-			}
-		}
+		st.DistinctElems += inner.DistinctElems
+		st.LookupPages = max(st.LookupPages, inner.LookupPages)
 	}
-	if l.kind == KindNIX && st.LookupPages == 0 {
+	if l.cfg.Kind == KindNIX && st.LookupPages == 0 {
 		st.LookupPages = 1
 	}
-	st.StoragePages = n
 	return st
 }
 
-var (
-	_ AccessMethod = (*LSM)(nil)
-	_ Describer    = (*LSM)(nil)
-)
+var _ subFacility = (*LSM)(nil)

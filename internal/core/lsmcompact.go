@@ -12,25 +12,10 @@ import (
 // entries so the read fan-out (and the planner's segment-count cost
 // overhead) returns to the single-file baseline.
 
-// Compact merges every sealed segment into one, discharging all
-// tombstones. The memtable is untouched — its contents flush into a
-// fresh segment later as usual. Compaction runs on the calling
-// goroutine under the exclusive lock; the stall it causes is recorded
-// in Pauses.
-func (l *LSM) Compact() error {
-	if err := l.health.gateWrite(); err != nil {
-		return err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.compactLocked(); err != nil {
-		l.health.noteWrite(err)
-		return err
-	}
-	return nil
-}
-
-func (l *LSM) compactLocked() error {
+// compactLocked merges every sealed segment into one, dropping
+// tombstoned and superseded entries (LSM.Compact and the maybeRoll
+// trigger both land here, under the shell's exclusive lock).
+func (l *lsmIndex) compactLocked() error {
 	if len(l.segs) < 2 {
 		return nil
 	}
@@ -56,7 +41,7 @@ func (l *LSM) compactLocked() error {
 	// not a file-level concatenation.
 	entries := make([]Entry, 0, len(liveOIDs))
 	for _, oid := range liveOIDs {
-		elems, err := l.src.Set(oid)
+		elems, err := l.cfg.Source.Set(oid)
 		if err != nil {
 			return fmt.Errorf("core: lsm compact: set of OID %d: %w", oid, err)
 		}

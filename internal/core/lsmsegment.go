@@ -1,14 +1,12 @@
 package core
 
 import (
-	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"sort"
 
 	"sigfile/internal/pagestore"
-	"sigfile/internal/signature"
 )
 
 // This file is the immutable-segment side of the LSM write path: the
@@ -16,25 +14,6 @@ import (
 // facility cannot carry), the manifest that makes the segment list and
 // generation crash-recoverable, and the helpers that build a segment
 // from a memtable and reopen it read-only.
-
-// segmentSearcher is the contract a facility must satisfy to serve as an
-// LSM segment: the full AccessMethod surface plus the candidate phases
-// of a search (so one resolution pass can cover every segment) and the
-// live-OID enumeration the reopen path rebuilds liveness from. All four
-// shipped facilities implement it.
-type segmentSearcher interface {
-	AccessMethod
-	Describer
-	// segmentCandidates runs the index-scan and OID-map phases under the
-	// facility's own lock, untraced, returning candidate OIDs. Smart
-	// caps left at zero are filled from the segment's own count, so the
-	// LSM layer pins explicit caps derived from the total count first.
-	segmentCandidates(ctx context.Context, pred signature.Predicate, query []string, opts *SearchOptions, stats *SearchStats) ([]uint64, error)
-	// liveOIDs enumerates every OID the facility's files record. For a
-	// sealed segment (built append-only, never deleted from) this is
-	// exactly the segment's content.
-	liveOIDs() ([]uint64, error)
-}
 
 // lsmSegMeta is the durable metadata of one sealed segment.
 type lsmSegMeta struct {
@@ -55,7 +34,7 @@ type lsmSegMeta struct {
 // read-only store view, plus its metadata.
 type lsmSegment struct {
 	id    uint64
-	inner segmentSearcher
+	inner subFacility
 	meta  lsmSegMeta
 }
 
@@ -192,32 +171,28 @@ func buildSegment(cfg *Config, store pagestore.Store, id uint64, entries []Entry
 	inner.LSM = false
 	inner.Store = store
 	inner.Prefix = prefix
-	am, err := Open(inner)
+	am, err := open(inner)
 	if err != nil {
 		return nil, fmt.Errorf("core: lsm build segment %d: %w", id, err)
 	}
-	if err := InsertAll(am, entries); err != nil {
+	if err := am.InsertBatch(entries); err != nil {
 		return nil, fmt.Errorf("core: lsm build segment %d: %w", id, err)
 	}
 	return reopenSegment(cfg, store, lsmSegMeta{ID: id, Count: len(entries), Tombs: tombs, Empties: empties})
 }
 
 // reopenSegment opens the sealed segment meta describes through a
-// read-only store view and asserts the segment-serving contract.
+// read-only store view.
 func reopenSegment(cfg *Config, store pagestore.Store, meta lsmSegMeta) (*lsmSegment, error) {
 	inner := *cfg
 	inner.LSM = false
 	inner.Store = pagestore.ReadOnly(store)
 	inner.Prefix = segPrefix(meta.ID)
-	am, err := Open(inner)
+	am, err := open(inner)
 	if err != nil {
 		return nil, fmt.Errorf("core: lsm reopen segment %d: %w", meta.ID, err)
 	}
-	ss, ok := am.(segmentSearcher)
-	if !ok {
-		return nil, fmt.Errorf("core: lsm segment %d: %s cannot serve as a segment", meta.ID, am.Name())
-	}
-	return &lsmSegment{id: meta.ID, inner: ss, meta: meta}, nil
+	return &lsmSegment{id: meta.ID, inner: am, meta: meta}, nil
 }
 
 // sortedU64 sorts a []uint64 ascending in place and returns it.

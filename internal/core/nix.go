@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
-	"time"
 
 	"sigfile/internal/btree"
 	"sigfile/internal/obs"
@@ -31,14 +29,17 @@ import (
 //
 // A NIX is safe for concurrent use: searches run in parallel with each
 // other (tree lookups read no mutable tree state and count their own
-// pages); updates exclude searches and one another through an internal
-// readers-writer lock.
+// pages); updates exclude searches and one another through the shell's
+// readers-writer lock (insert and delete mutate the tree and the
+// live/empty maps).
 type NIX struct {
-	// mu: searches hold it shared, updates exclusive (Insert/Delete
-	// mutate the tree and the live/empty maps).
-	mu   sync.RWMutex
+	*shell
+	ix *nixIndex
+}
+
+// nixIndex is NIX's index: the B⁺-tree and the posting-list combine.
+type nixIndex struct {
 	tree *btree.Tree
-	src  SetSource
 	// live tracks the OIDs the index covers.
 	live map[uint64]struct{}
 	// empty tracks live OIDs whose indexed set is empty: they have no
@@ -48,11 +49,8 @@ type NIX struct {
 	// not index empty sets; the signature files handle them natively.)
 	empty map[uint64]struct{}
 
-	// card accumulates inserted set cardinalities for Describe.
+	// card accumulates inserted set cardinalities for describe.
 	card cardStats
-
-	metrics *facilityMetrics
-	health  *healthTracker
 }
 
 // NewNIX creates (or reopens) a nested index in store using the file
@@ -72,7 +70,7 @@ func NewNIX(src SetSource, store pagestore.Store) (*NIX, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &NIX{tree: tree, src: src, live: make(map[uint64]struct{}), empty: make(map[uint64]struct{}), metrics: newFacilityMetrics("NIX"), health: newHealthTracker("NIX")}
+	n := &nixIndex{tree: tree, live: make(map[uint64]struct{}), empty: make(map[uint64]struct{})}
 	// Recover the live-object set from the postings.
 	if err := tree.Range(nil, nil, func(_ []byte, oids []uint64) bool {
 		for _, oid := range oids {
@@ -82,62 +80,33 @@ func NewNIX(src SetSource, store pagestore.Store) (*NIX, error) {
 	}); err != nil {
 		return nil, err
 	}
-	return n, nil
-}
-
-// Name implements AccessMethod.
-func (n *NIX) Name() string { return "NIX" }
-
-// Health implements HealthReporter.
-func (n *NIX) Health() HealthState { return n.health.get() }
-
-// MarkRepaired implements Repairer.
-func (n *NIX) MarkRepaired() { n.health.reset() }
-
-// Count implements AccessMethod.
-func (n *NIX) Count() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return len(n.live)
+	return &NIX{shell: newShell(KindNIX, 0, src, n), ix: n}, nil
 }
 
 // Tree exposes the underlying B⁺-tree (read-only use: height, breakdown).
-func (n *NIX) Tree() *btree.Tree { return n.tree }
-
-// StoragePages implements AccessMethod: lp + nlp (+ overflow and meta
-// pages, which the paper's model folds into the leaf estimate).
-func (n *NIX) StoragePages() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.tree.Pages()
-}
+func (n *NIX) Tree() *btree.Tree { return n.ix.tree }
 
 // LookupCost returns rc, the page accesses of one element lookup: the
 // tree height (nonleaf levels + leaf), matching the paper's rc = h + 1.
-func (n *NIX) LookupCost() int { return n.tree.Height() }
+func (n *NIX) LookupCost() int { return n.ix.tree.Height() }
 
-// Insert implements AccessMethod: one B⁺-tree insertion per element,
-// D_t insertions in total (UC_I = rc·D_t).
-func (n *NIX) Insert(oid uint64, elems []string) error {
-	if err := n.health.gateWrite(); err != nil {
-		return err
+func (n *nixIndex) count() int { return len(n.live) }
+
+// describe implements index: SC = lp + nlp (+ overflow and meta pages,
+// which the paper's model folds into the leaf estimate).
+func (n *nixIndex) describe() FacilityStats {
+	return FacilityStats{
+		Count:         len(n.live),
+		AvgSetCard:    n.card.avg(),
+		DistinctElems: n.tree.Keys(),
+		LookupPages:   n.tree.Height(),
+		StoragePages:  n.tree.Pages(),
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if err := n.insert(oid, elems); err != nil {
-		// A tree insertion that dies partway leaves some postings behind
-		// with live unmarked; degrading on terminal faults keeps the
-		// committed state frozen instead of compounding it.
-		n.health.noteWrite(err)
-		return err
-	}
-	return nil
 }
 
-func (n *NIX) insert(oid uint64, elems []string) error {
-	if oid == 0 {
-		return fmt.Errorf("core: OID 0 is reserved")
-	}
+// insert implements index: one B⁺-tree insertion per element, D_t
+// insertions in total (UC_I = rc·D_t).
+func (n *nixIndex) insert(oid uint64, elems []string) error {
 	if _, dup := n.live[oid]; dup {
 		return fmt.Errorf("core: NIX insert: OID %d already indexed", oid)
 	}
@@ -155,20 +124,14 @@ func (n *NIX) insert(oid uint64, elems []string) error {
 	return nil
 }
 
-// Delete implements AccessMethod: elems must be the indexed set value of
-// the object (D_t deletions, UC_D = rc·D_t).
-func (n *NIX) Delete(oid uint64, elems []string) error {
-	if err := n.health.gateWrite(); err != nil {
-		return err
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
+// delete implements index: elems must be the indexed set value of the
+// object (D_t deletions, UC_D = rc·D_t).
+func (n *nixIndex) delete(oid uint64, elems []string) error {
 	if _, ok := n.live[oid]; !ok {
 		return fmt.Errorf("core: NIX delete: OID %d not indexed", oid)
 	}
 	for _, e := range dedup(elems) {
 		if err := n.tree.Delete([]byte(e), oid); err != nil {
-			n.health.noteWrite(err)
 			return fmt.Errorf("core: NIX delete %q: %w", e, err)
 		}
 	}
@@ -177,90 +140,27 @@ func (n *NIX) Delete(oid uint64, elems []string) error {
 	return nil
 }
 
-// Search implements AccessMethod. With opts.Parallelism > 1 the probe
-// lookups and false-drop resolution fan across a worker pool; each
-// lookup counts its own tree pages (btree.LookupPages), so IndexPages is
-// exact and identical at any worker count.
-func (n *NIX) Search(pred signature.Predicate, query []string, opts ...SearchOption) (*Result, error) {
-	return n.searchCtx(context.Background(), pred, query, newSearchOptions(opts))
-}
-
-// SearchContext implements AccessMethod: Search with cancellation
-// honored at every probe lookup and worker-task boundary, and trace
-// spans emitted to the WithTrace/context sink. WithSmartRetrieval probes
-// a single element on T ⊇ Q — the strongest form of §5.1.3, since each
-// NIX lookup costs tree-height pages and the intersection only shrinks
-// the candidate set the resolution step re-checks anyway.
-func (n *NIX) SearchContext(ctx context.Context, pred signature.Predicate, query []string, opts ...SearchOption) (*Result, error) {
-	return n.searchCtx(ctx, pred, query, newSearchOptions(opts))
-}
-
-func (n *NIX) searchCtx(ctx context.Context, pred signature.Predicate, query []string, opts *SearchOptions) (res *Result, err error) {
-	if !pred.Valid() {
-		return nil, errInvalidPredicate(pred)
-	}
-	if err := n.health.gateRead(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	defer func() { n.metrics.observe(start, res, err) }()
-	defer func() { n.health.noteRead(err) }()
-	tr := obs.StartTrace(traceSink(ctx, opts), n.Name(), pred.String())
-	defer func() { tr.Finish(err) }()
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	query = dedup(query)
-	workers := searchWorkers(opts)
-	stats := SearchStats{QueryCardinality: len(query)}
-
-	candidates, err := n.candidatesLocked(ctx, pred, query, opts, &stats, tr)
-	if err != nil {
-		return nil, err
-	}
-
-	phase := tr.Begin()
-	results, err := verifyCandidates(ctx, n.src, pred, query, candidates, &stats, workers)
-	if err != nil {
-		return nil, err
-	}
-	tr.End(obs.PhaseResolve, phase, stats.ObjectFetches)
-	return &Result{OIDs: results, Stats: stats}, nil
-}
-
-// candidatesLocked runs the probe-lookup and combine phases of a search
-// and returns the candidate OIDs, leaving verification to the caller.
-// The caller must hold n.mu (shared or exclusive) and pass the
-// deduplicated query.
-func (n *NIX) candidatesLocked(ctx context.Context, pred signature.Predicate, query []string, opts *SearchOptions, stats *SearchStats, tr *obs.Trace) ([]uint64, error) {
-	if opts != nil && opts.Smart && opts.MaxProbeElements == 0 {
-		o := *opts
-		o.MaxProbeElements = 1
-		opts = &o
-	}
+// candidates implements index. With opts.Parallelism > 1 the probe
+// lookups fan across a worker pool; each lookup counts its own tree pages
+// (btree.LookupPages), so IndexPages is exact and identical at any worker
+// count.
+func (n *nixIndex) candidates(ctx context.Context, pred signature.Predicate, query []string, opts SearchOptions, stats *SearchStats, tr *obs.Trace) ([]uint64, error) {
 	probe := probeElements(query, opts, pred)
-	workers := searchWorkers(opts)
-	stats.ProbedElements = len(probe)
 
 	// Look up the probe elements, each lookup counting the tree pages it
 	// touched into its own slot; the slots sum to exactly the sequential
 	// page count.
 	phase := tr.Begin()
-	postings := make([][]uint64, len(probe))
-	pages := make([]int64, len(probe))
-	err := forEachTask(ctx, workers, len(probe), func(i int) error {
+	postings, err := scatter(ctx, searchWorkers(opts), len(probe), stats, func(i int, part *SearchStats) ([]uint64, error) {
 		oids, np, err := n.tree.LookupPages([]byte(probe[i]))
 		if err != nil {
-			return fmt.Errorf("core: NIX lookup %q: %w", probe[i], err)
+			return nil, fmt.Errorf("core: NIX lookup %q: %w", probe[i], err)
 		}
-		postings[i] = oids
-		pages[i] = np
-		return nil
+		part.IndexPages = np
+		return oids, nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	for _, np := range pages {
-		stats.IndexPages += np
 	}
 	tr.End(obs.PhaseIndexScan, phase, stats.IndexPages)
 
@@ -294,21 +194,11 @@ func (n *NIX) candidatesLocked(ctx context.Context, pred signature.Predicate, qu
 	return candidates, nil
 }
 
-// segmentCandidates implements segmentSearcher: the candidate phases of
-// a search under this facility's own shared lock, untraced.
-func (n *NIX) segmentCandidates(ctx context.Context, pred signature.Predicate, query []string, opts *SearchOptions, stats *SearchStats) ([]uint64, error) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.candidatesLocked(ctx, pred, query, opts, stats, nil)
-}
-
-// liveOIDs implements segmentSearcher: every indexed OID, sorted. OIDs
+// liveOIDs implements index: every indexed OID, sorted. OIDs
 // of empty sets are excluded — they leave no postings, so a reopened
 // index cannot see them; the LSM layer persists them in segment
 // metadata instead.
-func (n *NIX) liveOIDs() ([]uint64, error) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
+func (n *nixIndex) liveOIDs() ([]uint64, error) {
 	out := make([]uint64, 0, len(n.live))
 	for oid := range n.live {
 		if _, isEmpty := n.empty[oid]; isEmpty {
@@ -322,7 +212,7 @@ func (n *NIX) liveOIDs() ([]uint64, error) {
 
 // allOIDs returns every indexed OID sorted (the candidate set of a
 // vacuous query).
-func (n *NIX) allOIDs() []uint64 {
+func (n *nixIndex) allOIDs() []uint64 {
 	out := make([]uint64, 0, len(n.live))
 	for oid := range n.live {
 		out = append(out, oid)
@@ -333,7 +223,7 @@ func (n *NIX) allOIDs() []uint64 {
 
 // emptySetOIDs returns live OIDs whose indexed set is empty (tracked
 // incrementally at insert/delete time).
-func (n *NIX) emptySetOIDs() []uint64 {
+func (n *nixIndex) emptySetOIDs() []uint64 {
 	out := make([]uint64, 0, len(n.empty))
 	for oid := range n.empty {
 		out = append(out, oid)
@@ -389,4 +279,4 @@ func unionSorted(lists [][]uint64) []uint64 {
 	return dst
 }
 
-var _ AccessMethod = (*NIX)(nil)
+var _ subFacility = (*NIX)(nil)

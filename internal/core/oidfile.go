@@ -183,16 +183,16 @@ func (f *oidFile) getMany(indexes []int) ([]uint64, int64, error) {
 
 // delete tombstones the entry holding oid. Per the paper's update model it
 // scans the file from the beginning (SC_OID/2 page reads on average) and
-// sets the delete flag with one page write. It reports whether the OID was
-// found.
-func (f *oidFile) delete(oid uint64) (bool, error) {
+// sets the delete flag with one page write. An OID the file does not hold
+// is an error.
+func (f *oidFile) delete(oid uint64) error {
 	if oid == 0 {
-		return false, fmt.Errorf("core: OID 0 is reserved")
+		return fmt.Errorf("core: OID 0 is reserved")
 	}
 	buf := make([]byte, pagestore.PageSize)
 	for p := 0; p*oidsPerPage < f.n; p++ {
 		if err := f.file.ReadPage(pagestore.PageID(p), buf); err != nil {
-			return false, fmt.Errorf("core: oid file: %w", err)
+			return fmt.Errorf("core: oid file: %w", err)
 		}
 		limit := f.n - p*oidsPerPage
 		if limit > oidsPerPage {
@@ -202,17 +202,17 @@ func (f *oidFile) delete(oid uint64) (bool, error) {
 			if binary.LittleEndian.Uint64(buf[i*8:]) == oid {
 				binary.LittleEndian.PutUint64(buf[i*8:], 0)
 				if err := f.file.WritePage(pagestore.PageID(p), buf); err != nil {
-					return false, fmt.Errorf("core: oid file: %w", err)
+					return fmt.Errorf("core: oid file: %w", err)
 				}
 				if pagestore.PageID(p) == f.tailPage {
 					copy(f.tail, buf)
 				}
 				f.live--
-				return true, nil
+				return nil
 			}
 		}
 	}
-	return false, nil
+	return fmt.Errorf("core: delete: OID %d not present", oid)
 }
 
 // scan calls fn(index, oid) for every live entry in index order, reading
@@ -238,6 +238,16 @@ func (f *oidFile) scan(fn func(idx int, oid uint64) error) error {
 		}
 	}
 	return nil
+}
+
+// liveOIDs returns every non-tombstoned OID in storage order.
+func (f *oidFile) liveOIDs() ([]uint64, error) {
+	out := make([]uint64, 0, f.live)
+	err := f.scan(func(_ int, oid uint64) error {
+		out = append(out, oid)
+		return nil
+	})
+	return out, err
 }
 
 // pages returns SC_OID, the storage cost of the OID file in pages.

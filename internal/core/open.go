@@ -87,6 +87,21 @@ type Config struct {
 	Shards int
 }
 
+// weight is the element weight m the smart probe cap derives from: the
+// frame design's for an FSSF that has one, the flat scheme's otherwise,
+// 0 for NIX (which probes a single element).
+func (c *Config) weight() int {
+	switch {
+	case c.Kind == KindNIX:
+		return 0
+	case c.FrameScheme != nil:
+		return c.FrameScheme.M()
+	case c.Scheme != nil:
+		return c.Scheme.M()
+	}
+	return 0
+}
+
 // OpenOption mutates a Config — the functional-options form of the
 // fields that are not per-facility essentials.
 type OpenOption func(*Config)
@@ -140,15 +155,20 @@ func WithShards(k int) OpenOption {
 }
 
 // Open builds (or reopens, when the store already holds its files) the
-// facility cfg describes. It is the single construction entry point the
-// per-facility constructors now forward to conceptually; they remain for
-// compatibility.
+// facility cfg describes. It is the single construction entry point: the
+// per-kind constructors have no other caller outside tests.
 func Open(cfg Config, opts ...OpenOption) (AccessMethod, error) {
 	for _, opt := range opts {
 		if opt != nil {
 			opt(&cfg)
 		}
 	}
+	return open(cfg)
+}
+
+// open is Open after option resolution; the composite indexes re-enter
+// it for their segments and shards.
+func open(cfg Config) (subFacility, error) {
 	if cfg.Source == nil {
 		return nil, fmt.Errorf("core: open %s: Config.Source is required", cfg.Kind)
 	}
@@ -160,7 +180,7 @@ func Open(cfg Config, opts ...OpenOption) (AccessMethod, error) {
 		store = pagestore.Prefixed(store, cfg.Prefix)
 	}
 	if cfg.Shards > 1 {
-		// The sharded facility re-enters Open per shard (with Shards
+		// The sharded facility re-enters open per shard (with Shards
 		// cleared and a shard.%02d prefix layered onto this store), so
 		// every kind — LSM included — composes underneath it.
 		return newSharded(cfg, store)
@@ -227,7 +247,8 @@ func deriveFrameScheme(scheme *signature.Scheme, k int) (*signature.FrameScheme,
 }
 
 // InsertAll bulk-loads entries into am, using its BatchInserter fast path
-// when the facility has one and falling back to one-at-a-time inserts.
+// when the facility has one (everything Open returns does) and falling
+// back to one-at-a-time inserts.
 func InsertAll(am AccessMethod, entries []Entry) error {
 	if bi, ok := am.(BatchInserter); ok {
 		return bi.InsertBatch(entries)

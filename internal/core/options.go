@@ -9,7 +9,7 @@ import (
 
 // This file is the functional-options surface of the search API. Search
 // and SearchContext accept SearchOption values and resolve them to one
-// SearchOptions struct (newSearchOptions) that the facility internals
+// SearchOptions value (newSearchOptions) that the shell and the indexes
 // consume.
 
 // TraceSink re-exports obs.TraceSink, the consumer of per-search traces,
@@ -41,8 +41,8 @@ func WithMaxZeroSlices(z int) SearchOption {
 
 // WithSmartRetrieval lets the facility pick its own probe caps — the
 // paper's smart object retrieval (§5.1.3, §5.2.2) without hand-tuned
-// constants. Each facility derives the cap from its own state (see
-// smartProbeCap); explicit WithMaxProbeElements/WithMaxZeroSlices values
+// constants. The caps derive from the facility's live object count (see
+// smartCaps); explicit WithMaxProbeElements/WithMaxZeroSlices values
 // take precedence, and SSF ignores the option (its scan cost is fixed, so
 // a weaker probe only adds false drops).
 func WithSmartRetrieval() SearchOption {
@@ -55,28 +55,13 @@ func WithTrace(sink obs.TraceSink) SearchOption {
 	return func(o *SearchOptions) { o.Trace = sink }
 }
 
-// withResolved copies an already-resolved SearchOptions value in. It is
-// the internal bridge composite facilities (LSM, ShardedFacility) use to
-// hand a pinned strategy to their inner facilities' SearchContext.
-func withResolved(resolved *SearchOptions) SearchOption {
-	return func(o *SearchOptions) {
-		if resolved != nil {
-			*o = *resolved
-		}
-	}
-}
-
 // newSearchOptions resolves a SearchOption list to the struct form the
-// facilities consume. An empty list yields nil — the default-strategy
-// fast path.
-func newSearchOptions(opts []SearchOption) *SearchOptions {
-	if len(opts) == 0 {
-		return nil
-	}
-	o := &SearchOptions{}
+// shell and the indexes consume; an empty list is the default strategy.
+func newSearchOptions(opts []SearchOption) SearchOptions {
+	var o SearchOptions
 	for _, opt := range opts {
 		if opt != nil {
-			opt(o)
+			opt(&o)
 		}
 	}
 	return o
@@ -85,11 +70,40 @@ func newSearchOptions(opts []SearchOption) *SearchOptions {
 // traceSink resolves where a search's trace goes: an explicit WithTrace
 // sink wins, otherwise the sink riding the context (obs.ContextWithSink),
 // otherwise nil — tracing off.
-func traceSink(ctx context.Context, opts *SearchOptions) obs.TraceSink {
-	if opts != nil && opts.Trace != nil {
+func traceSink(ctx context.Context, opts SearchOptions) obs.TraceSink {
+	if opts.Trace != nil {
 		return opts.Trace
 	}
 	return obs.SinkFrom(ctx)
+}
+
+// smartCaps resolves WithSmartRetrieval into explicit caps for a facility
+// of the given kind, element weight m and live object count, and clears
+// the flag: the shell pins the caps once per logical search, so every
+// segment and shard underneath filters with the same strength. Explicit
+// WithMaxProbeElements/WithMaxZeroSlices values win. NIX probes a single
+// element on T ⊇ Q — the strongest form of §5.1.3, since each lookup
+// costs tree-height pages and the intersection only shrinks the
+// candidate set resolution re-checks anyway. SSF gets no cap: its scan
+// reads every signature page no matter how weak the probe is, so a cap
+// only adds false drops.
+func smartCaps(kind Kind, m, live int, opts SearchOptions) SearchOptions {
+	if !opts.Smart {
+		return opts
+	}
+	opts.Smart = false
+	if opts.MaxProbeElements == 0 {
+		switch kind {
+		case KindNIX:
+			opts.MaxProbeElements = 1
+		case KindBSSF, KindFSSF:
+			opts.MaxProbeElements = smartProbeCap(live, m)
+		}
+	}
+	if opts.MaxZeroSlices == 0 && kind == KindBSSF {
+		opts.MaxZeroSlices = smartZeroSliceCap(live)
+	}
+	return opts
 }
 
 // smartProbeCap is the probe cap WithSmartRetrieval selects for the

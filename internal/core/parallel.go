@@ -25,10 +25,7 @@ import (
 // searchWorkers resolves the effective worker count of a search: the
 // Parallelism option, 0 or 1 meaning sequential, and a negative value
 // meaning "one worker per CPU".
-func searchWorkers(opts *SearchOptions) int {
-	if opts == nil {
-		return 1
-	}
+func searchWorkers(opts SearchOptions) int {
 	p := opts.Parallelism
 	if p < 0 {
 		p = runtime.NumCPU()
@@ -119,6 +116,25 @@ func addStats(dst *SearchStats, parts []SearchStats) {
 	}
 }
 
+// scatter runs fn for every part in [0, n) on up to workers goroutines,
+// handing each its own stats slot, and returns the per-part results in
+// part order with the slots folded into stats in that order — so the
+// results and every count are those of one sequential pass at any
+// parallelism.
+func scatter[T any](ctx context.Context, workers, n int, stats *SearchStats, fn func(i int, part *SearchStats) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	parts := make([]SearchStats, n)
+	err := forEachTask(ctx, workers, n, func(i int) (err error) {
+		out[i], err = fn(i, &parts[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	addStats(stats, parts)
+	return out, nil
+}
+
 // SearchRequest is one search of a batch submitted to SearchMany.
 type SearchRequest struct {
 	Pred  signature.Predicate
@@ -152,7 +168,7 @@ func SearchMany(am AccessMethod, reqs []SearchRequest, parallelism int) ([]*Resu
 // ctx receives one trace per request.
 func SearchManyContext(ctx context.Context, am AccessMethod, reqs []SearchRequest, parallelism int) ([]*Result, error) {
 	out := make([]*Result, len(reqs))
-	workers := searchWorkers(&SearchOptions{Parallelism: parallelism})
+	workers := searchWorkers(SearchOptions{Parallelism: parallelism})
 	err := forEachTask(ctx, workers, len(reqs), func(i int) error {
 		res, err := am.SearchContext(ctx, reqs[i].Pred, reqs[i].Query, reqs[i].Opts...)
 		if err != nil {

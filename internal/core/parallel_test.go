@@ -111,14 +111,13 @@ func TestParallelSearchMatchesBruteForce(t *testing.T) {
 // TestSearchWorkers pins the Parallelism-to-worker-count mapping.
 func TestSearchWorkers(t *testing.T) {
 	cases := []struct {
-		opts *SearchOptions
+		opts SearchOptions
 		want int
 	}{
-		{nil, 1},
-		{&SearchOptions{}, 1},
-		{&SearchOptions{Parallelism: 1}, 1},
-		{&SearchOptions{Parallelism: 7}, 7},
-		{&SearchOptions{Parallelism: -1}, runtime.NumCPU()},
+		{SearchOptions{}, 1},
+		{SearchOptions{Parallelism: 1}, 1},
+		{SearchOptions{Parallelism: 7}, 7},
+		{SearchOptions{Parallelism: -1}, runtime.NumCPU()},
 	}
 	for _, c := range cases {
 		if got := searchWorkers(c.opts); got != c.want {

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"sigfile/internal/obs"
 	"sigfile/internal/pagestore"
@@ -19,24 +18,24 @@ import (
 //
 // Insert and Delete route to the owning shard (shardOf, a fixed integer
 // hash of the OID — stable across restarts, so a reopened store routes
-// identically). A search scatters across every shard with the per-task
-// slot-folding merge of forEachTask: per-shard results land in
-// preallocated slots and fold in shard order, and because the partitions
-// are disjoint and every shard returns ascending OIDs, the gathered
-// result is byte-identical to an unsharded facility at any K and any
-// parallelism.
+// identically). A search scatters the candidate phases across every
+// shard and the shell resolves the gathered candidates in one pass;
+// because the partitions are disjoint, the result — OIDs and every
+// SearchStats field — is byte-identical to an unsharded facility at any
+// K and any parallelism.
 //
 // Composes with the LSM write path: Config{LSM: true, Shards: k} gives
 // every shard its own memtable, segments and compaction schedule.
 type ShardedFacility struct {
-	cfg    Config
-	kind   Kind
-	src    SetSource
-	shards []AccessMethod
+	*shell
+	ix *shardedIndex
+}
 
-	// smartM is the element weight the smart probe cap derives from
-	// (0 for NIX, which probes a single element).
-	smartM int
+// shardedIndex is the sharded facility's index: its candidate generator
+// is the concatenation of its shards' candidates, and it keeps no state
+// of its own — updates route to the owning shard.
+type shardedIndex struct {
+	shards []subFacility
 }
 
 // maxShards bounds Config.Shards: beyond this the per-shard fixed costs
@@ -66,79 +65,79 @@ func newSharded(cfg Config, store pagestore.Store) (*ShardedFacility, error) {
 	if store == nil {
 		store = pagestore.NewMemStore()
 	}
-	s := &ShardedFacility{cfg: cfg, kind: cfg.Kind, src: cfg.Source}
-	switch {
-	case cfg.Kind == KindNIX:
-		s.smartM = 0
-	case cfg.FrameScheme != nil:
-		s.smartM = cfg.FrameScheme.M()
-	case cfg.Scheme != nil:
-		s.smartM = cfg.Scheme.M()
-	}
-	s.shards = make([]AccessMethod, k)
-	for i := range s.shards {
+	var err error
+	ix := &shardedIndex{shards: make([]subFacility, k)}
+	sh := newShell(cfg.Kind, cfg.weight(), cfg.Source, ix)
+	for i := range ix.shards {
 		inner := cfg
 		inner.Shards = 0
 		inner.Prefix = "" // already applied to store by Open
 		inner.Store = pagestore.Prefixed(store, fmt.Sprintf("shard.%02d", i))
-		am, err := Open(inner)
-		if err != nil {
+		if ix.shards[i], err = open(inner); err != nil {
 			return nil, fmt.Errorf("core: open shard %02d: %w", i, err)
 		}
-		s.shards[i] = am
+		sh.health.shards = append(sh.health.shards, ix.shards[i].ladder())
 	}
-	return s, nil
+	return &ShardedFacility{shell: sh, ix: ix}, nil
 }
 
-// Name implements AccessMethod: the inner kind's name, so planner cost
-// formulas select by facility exactly as for the unsharded form.
-func (s *ShardedFacility) Name() string { return s.kind.String() }
-
 // Shards returns K, the number of partitions.
-func (s *ShardedFacility) Shards() int { return len(s.shards) }
+func (s *ShardedFacility) Shards() int { return len(s.ix.shards) }
 
 // Shard exposes shard i for tests and repair tooling.
-func (s *ShardedFacility) Shard(i int) AccessMethod { return s.shards[i] }
+func (s *ShardedFacility) Shard(i int) AccessMethod { return s.ix.shards[i] }
 
-// Insert implements AccessMethod, routing to the owning shard.
-func (s *ShardedFacility) Insert(oid uint64, elems []string) error {
+// ShardHealth returns every shard's own health state, in shard order.
+func (s *ShardedFacility) ShardHealth() []HealthState {
+	out := make([]HealthState, len(s.ix.shards))
+	for i, sh := range s.ix.shards {
+		out[i] = sh.Health()
+	}
+	return out
+}
+
+// owner returns the shard owning oid and its number.
+func (s *shardedIndex) owner(oid uint64) (int, subFacility) {
 	i := shardOf(oid, len(s.shards))
-	if err := s.shards[i].Insert(oid, elems); err != nil {
+	return i, s.shards[i]
+}
+
+// insert implements index, routing to the owning shard.
+func (s *shardedIndex) insert(oid uint64, elems []string) error {
+	i, sh := s.owner(oid)
+	if err := sh.Insert(oid, elems); err != nil {
 		return fmt.Errorf("core: shard %02d insert: %w", i, err)
 	}
 	return nil
 }
 
-// Delete implements AccessMethod, routing to the owning shard.
-func (s *ShardedFacility) Delete(oid uint64, elems []string) error {
-	i := shardOf(oid, len(s.shards))
-	if err := s.shards[i].Delete(oid, elems); err != nil {
+// delete implements index, routing to the owning shard.
+func (s *shardedIndex) delete(oid uint64, elems []string) error {
+	i, sh := s.owner(oid)
+	if err := sh.Delete(oid, elems); err != nil {
 		return fmt.Errorf("core: shard %02d delete: %w", i, err)
 	}
 	return nil
 }
 
-// InsertBatch implements BatchInserter: entries partition into per-shard
-// batches that load through each shard's own batch path.
-func (s *ShardedFacility) InsertBatch(entries []Entry) error {
+// insertBatch implements index: entries partition into per-shard batches
+// that load through each shard's own batch path.
+func (s *shardedIndex) insertBatch(entries []Entry) error {
 	buckets := make([][]Entry, len(s.shards))
 	for _, e := range entries {
-		i := shardOf(e.OID, len(s.shards))
+		i, _ := s.owner(e.OID)
 		buckets[i] = append(buckets[i], e)
 	}
 	for i, b := range buckets {
-		if len(b) == 0 {
-			continue
-		}
-		if err := InsertAll(s.shards[i], b); err != nil {
+		if err := s.shards[i].InsertBatch(b); err != nil {
 			return fmt.Errorf("core: shard %02d batch insert: %w", i, err)
 		}
 	}
 	return nil
 }
 
-// Count implements AccessMethod: the sum over shards.
-func (s *ShardedFacility) Count() int {
+// count implements index: the sum over shards.
+func (s *shardedIndex) count() int {
 	n := 0
 	for _, sh := range s.shards {
 		n += sh.Count()
@@ -146,178 +145,64 @@ func (s *ShardedFacility) Count() int {
 	return n
 }
 
-// StoragePages implements AccessMethod: the sum over shards.
-func (s *ShardedFacility) StoragePages() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.StoragePages()
-	}
-	return n
-}
-
-// Health implements HealthReporter: the worst state across shards. The
-// ladder is per-shard — one shard degrading rejects only the writes
-// routed to it — but the aggregate drives planner routing, which treats
-// the whole facility as degraded and prefers a healthy sibling.
-func (s *ShardedFacility) Health() HealthState {
-	worst := Healthy
-	for _, sh := range s.shards {
-		if h := HealthOf(sh); h > worst {
-			worst = h
-		}
-	}
-	return worst
-}
-
-// ShardHealth returns every shard's own health state, in shard order.
-func (s *ShardedFacility) ShardHealth() []HealthState {
-	out := make([]HealthState, len(s.shards))
+// liveOIDs implements index: the shards' OIDs, in shard order.
+func (s *shardedIndex) liveOIDs() ([]uint64, error) {
+	var out []uint64
 	for i, sh := range s.shards {
-		out[i] = HealthOf(sh)
-	}
-	return out
-}
-
-// MarkRepaired implements Repairer, resetting every shard's ladder.
-func (s *ShardedFacility) MarkRepaired() {
-	for _, sh := range s.shards {
-		if r, ok := sh.(Repairer); ok {
-			r.MarkRepaired()
+		oids, err := sh.liveOIDs()
+		if err != nil {
+			return nil, fmt.Errorf("core: shard %02d: %w", i, err)
 		}
+		out = append(out, oids...)
 	}
+	return out, nil
 }
 
-// Search implements AccessMethod.
-func (s *ShardedFacility) Search(pred signature.Predicate, query []string, opts ...SearchOption) (*Result, error) {
-	return s.searchCtx(context.Background(), pred, query, newSearchOptions(opts))
-}
-
-// SearchContext implements AccessMethod: the search scatters across
-// every shard — each an independent facility with its own files and
-// lock, so the per-shard searches do genuinely independent I/O — and
-// gathers the per-shard results in shard order. Cancellation propagates
-// into every in-flight shard search and stops unstarted ones.
-// WithSmartRetrieval caps derive from the total live count so every
-// shard applies the same filter strength.
-func (s *ShardedFacility) SearchContext(ctx context.Context, pred signature.Predicate, query []string, opts ...SearchOption) (*Result, error) {
-	return s.searchCtx(ctx, pred, query, newSearchOptions(opts))
-}
-
-func (s *ShardedFacility) searchCtx(ctx context.Context, pred signature.Predicate, query []string, opts *SearchOptions) (res *Result, err error) {
-	if !pred.Valid() {
-		return nil, errInvalidPredicate(pred)
-	}
-	tr := obs.StartTrace(traceSink(ctx, opts), s.Name(), pred.String())
-	defer func() { tr.Finish(err) }()
-
-	// Pin the smart caps from the total live count so every shard applies
-	// the same filter strength regardless of its own size — the same
-	// pinning the LSM does per segment, and what keeps results identical
-	// to the unsharded facility.
-	if opts != nil && opts.Smart {
-		o := *opts
-		total := s.Count()
-		if o.MaxProbeElements == 0 {
-			if s.kind == KindNIX {
-				o.MaxProbeElements = 1
-			} else if s.smartM > 0 {
-				o.MaxProbeElements = smartProbeCap(total, s.smartM)
-			}
-		}
-		if o.MaxZeroSlices == 0 && s.kind == KindBSSF {
-			o.MaxZeroSlices = smartZeroSliceCap(total)
-		}
-		o.Smart = false
-		opts = &o
-	}
-	query = dedup(query)
-	probe := probeElements(query, opts, pred)
-	workers := searchWorkers(opts)
-	stats := SearchStats{QueryCardinality: len(query), ProbedElements: len(probe)}
-
-	// The per-shard searches must not re-trace or re-massage: divert
-	// their traces to a discard sink (an explicit opts.Trace wins over
-	// any sink riding ctx) and keep the pinned caps.
-	shardOpts := &SearchOptions{}
-	if opts != nil {
-		*shardOpts = *opts
-	}
-	shardOpts.Smart = false
-	shardOpts.Trace = discardTraces{}
-
-	// Scatter: every shard's full search (candidates and verification
-	// against the disjoint partition it owns), fanned across the worker
-	// pool with per-shard result slots folded in shard order —
-	// deterministic at any parallelism.
+// candidates implements index: the candidate phases of every shard —
+// each an independent facility with its own files and lock, so the
+// per-shard scans do genuinely independent I/O — fanned across the
+// worker pool and gathered in shard order. Cancellation propagates into
+// every in-flight shard scan and stops unstarted ones. The caps in opts
+// were pinned from the total live count, so every shard applies the same
+// filter strength; the partitions are disjoint, so resolving the
+// concatenation in the shell's one pass yields exactly the unsharded
+// result.
+func (s *shardedIndex) candidates(ctx context.Context, pred signature.Predicate, query []string, opts SearchOptions, stats *SearchStats, tr *obs.Trace) ([]uint64, error) {
 	phase := tr.Begin()
-	parts := make([]*Result, len(s.shards))
-	err = forEachTask(ctx, workers, len(s.shards), func(i int) error {
-		r, serr := s.shards[i].SearchContext(ctx, pred, query, withResolved(shardOpts))
-		if serr != nil {
-			return fmt.Errorf("core: shard %02d search: %w", i, serr)
+	shardCands, err := scatter(ctx, searchWorkers(opts), len(s.shards), stats, func(i int, part *SearchStats) ([]uint64, error) {
+		cands, err := s.shards[i].segmentCandidates(ctx, pred, query, opts, part)
+		if err != nil {
+			return nil, fmt.Errorf("core: shard %02d search: %w", i, err)
 		}
-		parts[i] = r
-		return nil
+		return cands, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	total := 0
-	for _, p := range parts {
-		stats.SlicesRead += p.Stats.SlicesRead
-		stats.IndexPages += p.Stats.IndexPages
-		stats.OIDPages += p.Stats.OIDPages
-		stats.ObjectFetches += p.Stats.ObjectFetches
-		stats.Candidates += p.Stats.Candidates
-		stats.Results += p.Stats.Results
-		stats.FalseDrops += p.Stats.FalseDrops
-		total += len(p.OIDs)
-	}
 	tr.End(obs.PhaseIndexScan, phase, stats.IndexPages)
 
-	// The per-shard OID-file reads and object fetches happened inside the
-	// scatter (counted into OIDPages/ObjectFetches above); the remaining
-	// spans keep the spans-sum-to-stats property.
+	// The per-shard OID-file reads happened inside the scatter (counted
+	// into OIDPages above); what remains of the OID-map phase is the
+	// gather.
 	phase = tr.Begin()
-	tr.End(obs.PhaseOIDMap, phase, stats.OIDPages)
-
-	// Gather: the partitions are disjoint and each list ascends, so
-	// sorting the concatenation yields exactly the unsharded result.
-	phase = tr.Begin()
-	oids := make([]uint64, 0, total)
-	for _, p := range parts {
-		oids = append(oids, p.OIDs...)
+	var candidates []uint64
+	for _, c := range shardCands {
+		candidates = append(candidates, c...)
 	}
-	sort.Slice(oids, func(i, j int) bool { return oids[i] < oids[j] })
-	tr.End(obs.PhaseResolve, phase, stats.ObjectFetches)
-	return &Result{OIDs: oids, Stats: stats}, nil
+	tr.End(obs.PhaseOIDMap, phase, stats.OIDPages)
+	return candidates, nil
 }
 
-// discardTraces suppresses the inner shards' traces: the scatter emits
-// one aggregate trace for the whole search, not K+1.
-type discardTraces struct{}
-
-// EmitTrace implements obs.TraceSink.
-func (discardTraces) EmitTrace(*obs.Trace) {}
-
-// Describe implements Describer, aggregating the per-shard catalogs:
-// counts and storage sum, the signature design is common to all shards,
-// and Shards/ShardHealth expose the partition layout so the planner can
+// describe implements index, aggregating the per-shard catalogs: counts
+// and storage sum, the signature design is common to all shards, and
+// Shards/ShardHealth expose the partition layout so the planner can
 // price the K-way scatter and route around degraded shards.
-func (s *ShardedFacility) Describe() FacilityStats {
-	st := FacilityStats{
-		Facility: s.Name(),
-		Shards:   len(s.shards),
-		Health:   Healthy,
-	}
+func (s *shardedIndex) describe() FacilityStats {
+	st := FacilityStats{Shards: len(s.shards)}
 	var cardSum float64
 	var cardN int
 	for _, sh := range s.shards {
-		d, ok := sh.(Describer)
-		if !ok {
-			continue
-		}
-		inner := d.Describe()
+		inner := sh.Describe()
 		st.Count += inner.Count
 		st.StoragePages += inner.StoragePages
 		st.MemtableCount += inner.MemtableCount
@@ -332,16 +217,9 @@ func (s *ShardedFacility) Describe() FacilityStats {
 		// Shards hold disjoint OIDs but overlapping element domains, so
 		// summing DistinctElems would overcount V; the max stays a lower
 		// bound, which is the planner contract.
-		if inner.DistinctElems > st.DistinctElems {
-			st.DistinctElems = inner.DistinctElems
-		}
-		if inner.LookupPages > st.LookupPages {
-			st.LookupPages = inner.LookupPages
-		}
+		st.DistinctElems = max(st.DistinctElems, inner.DistinctElems)
+		st.LookupPages = max(st.LookupPages, inner.LookupPages)
 		st.ShardHealth = append(st.ShardHealth, inner.Health)
-		if inner.Health > st.Health {
-			st.Health = inner.Health
-		}
 	}
 	if cardN > 0 {
 		st.AvgSetCard = cardSum / float64(cardN)
@@ -349,10 +227,4 @@ func (s *ShardedFacility) Describe() FacilityStats {
 	return st
 }
 
-var (
-	_ AccessMethod   = (*ShardedFacility)(nil)
-	_ Describer      = (*ShardedFacility)(nil)
-	_ BatchInserter  = (*ShardedFacility)(nil)
-	_ HealthReporter = (*ShardedFacility)(nil)
-	_ Repairer       = (*ShardedFacility)(nil)
-)
+var _ subFacility = (*ShardedFacility)(nil)

@@ -4,8 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"sync"
-	"time"
 
 	"sigfile/internal/bitset"
 	"sigfile/internal/obs"
@@ -25,31 +23,30 @@ import (
 //
 // An SSF is safe for concurrent use: any number of Search calls may run
 // in parallel with each other, and updates (Insert, Delete, Compact)
-// exclude searches and one another through an internal readers-writer
-// lock.
+// exclude searches and one another through the shell's readers-writer
+// lock. The tail cache and count make even Insert a reader-visible
+// mutation, so updates cannot overlap any search.
 type SSF struct {
-	// mu is the reader/writer contract: searches hold it shared, updates
-	// exclusive. The tail cache and count make even Insert a reader-
-	// visible mutation, so updates cannot overlap any search.
-	mu     sync.RWMutex
+	*shell
+	ix *ssfIndex
+}
+
+// ssfIndex is SSF's index: the signature file, the OID file and the scan.
+type ssfIndex struct {
 	scheme *signature.Scheme
-	src    SetSource
 	sig    pagestore.File
 	oid    *oidFile
 
 	sigBytes    int // bytes per signature record
 	sigsPerPage int
-	count       int // signatures appended (live + stale)
+	n           int // signatures appended (live + stale)
 	// tail caches the signature page being filled so appends cost one
 	// write.
 	tail     []byte
 	tailPage pagestore.PageID
 
-	// card accumulates inserted set cardinalities for Describe.
+	// card accumulates inserted set cardinalities for describe.
 	card cardStats
-
-	metrics *facilityMetrics
-	health  *healthTracker
 }
 
 // NewSSF creates (or reopens) a sequential signature file in store using
@@ -78,95 +75,71 @@ func NewSSF(scheme *signature.Scheme, src SetSource, store pagestore.Store) (*SS
 		return nil, err
 	}
 	sigBytes := bitset.ByteLen(scheme.F())
-	s := &SSF{
+	s := &ssfIndex{
 		scheme:      scheme,
-		src:         src,
 		sig:         sigFile,
 		oid:         o,
 		sigBytes:    sigBytes,
 		sigsPerPage: pagestore.PageSize / sigBytes,
 		tail:        make([]byte, pagestore.PageSize),
-		metrics:     newFacilityMetrics("SSF"),
-		health:      newHealthTracker("SSF"),
 	}
 	if s.sigsPerPage == 0 {
 		return nil, fmt.Errorf("core: signature width F=%d (%d bytes) exceeds page size", scheme.F(), sigBytes)
 	}
 	// Recover the signature count from the OID file (authoritative: both
 	// files are appended in lockstep) and reload the tail page.
-	s.count = o.n
+	s.n = o.n
 	if np := sigFile.NumPages(); np > 0 {
 		s.tailPage = pagestore.PageID(np - 1)
 		if err := sigFile.ReadPage(s.tailPage, s.tail); err != nil {
 			return nil, fmt.Errorf("core: recover SSF tail: %w", err)
 		}
 	}
-	return s, nil
-}
-
-// Name implements AccessMethod.
-func (s *SSF) Name() string { return "SSF" }
-
-// Health implements HealthReporter.
-func (s *SSF) Health() HealthState { return s.health.get() }
-
-// MarkRepaired implements Repairer, returning the facility to service
-// after the storage fault is fixed (or the facility rebuilt).
-func (s *SSF) MarkRepaired() { s.health.reset() }
-
-// Count implements AccessMethod.
-func (s *SSF) Count() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.oid.live
+	return &SSF{shell: newShell(KindSSF, scheme.M(), src, s), ix: s}, nil
 }
 
 // Scheme returns the signature scheme in use.
-func (s *SSF) Scheme() *signature.Scheme { return s.scheme }
+func (s *SSF) Scheme() *signature.Scheme { return s.ix.scheme }
 
 // SignaturePages returns SC_SIG, the storage cost of the signature file.
 func (s *SSF) SignaturePages() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.sig.NumPages()
+	return s.ix.sig.NumPages()
 }
 
 // OIDPages returns SC_OID.
 func (s *SSF) OIDPages() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.oid.pages()
+	return s.ix.oid.pages()
 }
 
-// StoragePages implements AccessMethod: SC = SC_SIG + SC_OID.
-func (s *SSF) StoragePages() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.sig.NumPages() + s.oid.pages()
-}
+// Compact rebuilds the signature and OID files without tombstoned
+// entries, reclaiming the space deletions leave behind (an extension the
+// paper's update model leaves open). The store must be the one the SSF
+// was created with; compaction rewrites in place.
+func (s *SSF) Compact() error { return s.update(s.ix.compact) }
 
-// Insert implements AccessMethod. Cost: one write to the signature file
-// and one to the OID file — the paper's UC_I = 2. The health gate runs
-// before the lock so a degraded facility rejects writes immediately,
-// even while searches hold the lock shared; a terminal storage fault
-// degrades the facility to read-only.
-func (s *SSF) Insert(oid uint64, elems []string) error {
-	if err := s.health.gateWrite(); err != nil {
-		return err
+func (s *ssfIndex) count() int { return s.oid.live }
+
+// describe implements index: SC = SC_SIG + SC_OID.
+func (s *ssfIndex) describe() FacilityStats {
+	return FacilityStats{
+		Count:        s.oid.live,
+		AvgSetCard:   s.card.avg(),
+		F:            s.scheme.F(),
+		M:            s.scheme.M(),
+		StoragePages: s.sig.NumPages() + s.oid.pages(),
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.insert(oid, elems); err != nil {
-		s.health.noteWrite(err)
-		return err
-	}
-	return nil
 }
 
-func (s *SSF) insert(oid uint64, elems []string) error {
+// insert implements index. Cost: one write to the signature file and one
+// to the OID file — the paper's UC_I = 2.
+func (s *ssfIndex) insert(oid uint64, elems []string) error {
 	deduped := dedup(elems)
 	sig := s.scheme.SetSignatureStrings(deduped)
-	slot := s.count % s.sigsPerPage
+	slot := s.n % s.sigsPerPage
 	if slot == 0 {
 		id, err := s.sig.Allocate()
 		if err != nil {
@@ -181,103 +154,31 @@ func (s *SSF) insert(oid uint64, elems []string) error {
 	if err := s.sig.WritePage(s.tailPage, s.tail); err != nil {
 		return fmt.Errorf("core: SSF insert: %w", err)
 	}
-	s.count++
+	s.n++
 	if _, err := s.oid.append(oid); err != nil {
 		// Keep the two files aligned: undo the signature append logically
 		// by rolling the count back (the stale slot is overwritten by the
 		// next insert).
-		s.count--
+		s.n--
 		return err
 	}
 	s.card.add(len(deduped))
 	return nil
 }
 
-// Delete implements AccessMethod: tombstones the OID entry; the stale
-// signature remains and any future match on it resolves to nothing.
-func (s *SSF) Delete(oid uint64, _ []string) error {
-	if err := s.health.gateWrite(); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	found, err := s.oid.delete(oid)
-	if err != nil {
-		s.health.noteWrite(err)
-		return err
-	}
-	if !found {
-		return fmt.Errorf("core: SSF delete: OID %d not present", oid)
-	}
-	return nil
+// delete implements index: tombstones the OID entry; the stale signature
+// remains and any future match on it resolves to nothing.
+func (s *ssfIndex) delete(oid uint64, _ []string) error {
+	return s.oid.delete(oid)
 }
 
-// Search implements AccessMethod following §4.1's three steps: form the
-// query signature, scan the signature file collecting drops, then map
-// drops through the OID file and resolve them against the objects. With
-// opts.Parallelism > 1 the scan is sharded into contiguous page segments
-// and drop resolution fans across the same worker count; the Result is
-// identical either way.
-func (s *SSF) Search(pred signature.Predicate, query []string, opts ...SearchOption) (*Result, error) {
-	return s.searchCtx(context.Background(), pred, query, newSearchOptions(opts))
-}
-
-// SearchContext implements AccessMethod: Search with cancellation
-// honored at every scanned page and worker-task boundary, and trace
-// spans emitted to the WithTrace/context sink.
-func (s *SSF) SearchContext(ctx context.Context, pred signature.Predicate, query []string, opts ...SearchOption) (*Result, error) {
-	return s.searchCtx(ctx, pred, query, newSearchOptions(opts))
-}
-
-func (s *SSF) searchCtx(ctx context.Context, pred signature.Predicate, query []string, opts *SearchOptions) (res *Result, err error) {
-	if !pred.Valid() {
-		return nil, errInvalidPredicate(pred)
-	}
-	if err := s.health.gateRead(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	defer func() { s.metrics.observe(start, res, err) }()
-	defer func() { s.health.noteRead(err) }()
-	tr := obs.StartTrace(traceSink(ctx, opts), s.Name(), pred.String())
-	defer func() { tr.Finish(err) }()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	query = dedup(query)
+// candidates implements index following §4.1: form the query signature,
+// scan the signature file collecting drops, then map drops through the
+// OID file. With opts.Parallelism > 1 the scan is sharded into contiguous
+// page segments; the candidate list is identical either way.
+func (s *ssfIndex) candidates(ctx context.Context, pred signature.Predicate, query []string, opts SearchOptions, stats *SearchStats, tr *obs.Trace) ([]uint64, error) {
+	qsig := s.scheme.SetSignatureStrings(probeElements(query, opts, pred))
 	workers := searchWorkers(opts)
-	stats := SearchStats{QueryCardinality: len(query)}
-
-	candidates, err := s.candidatesLocked(ctx, pred, query, opts, &stats, tr)
-	if err != nil {
-		return nil, err
-	}
-
-	// False drop resolution.
-	phase := tr.Begin()
-	results, err := verifyCandidates(ctx, s.src, pred, query, candidates, &stats, workers)
-	if err != nil {
-		return nil, err
-	}
-	tr.End(obs.PhaseResolve, phase, stats.ObjectFetches)
-	return &Result{OIDs: results, Stats: stats}, nil
-}
-
-// candidatesLocked runs the index-scan and OID-map phases of a search —
-// everything up to (but not including) false-drop resolution — and
-// returns the candidate OIDs. The caller must hold s.mu (shared or
-// exclusive) and pass the deduplicated query; ProbedElements, SlicesRead,
-// IndexPages and OIDPages land in stats, and the two phases are emitted
-// as spans on tr (nil-safe). The LSM write path searches each sealed
-// segment through this entry so one resolution pass can cover memtable
-// and segments together.
-//
-// SSF ignores opts.Smart: the scan reads every signature page no matter
-// how weak the probe is, so a probe cap only adds false drops.
-func (s *SSF) candidatesLocked(ctx context.Context, pred signature.Predicate, query []string, opts *SearchOptions, stats *SearchStats, tr *obs.Trace) ([]uint64, error) {
-	probe := probeElements(query, opts, pred)
-	qsig := s.scheme.SetSignatureStrings(probe)
-	workers := searchWorkers(opts)
-	stats.ProbedElements = len(probe)
 
 	// Full scan of the signature file (SC_SIG page reads), sharded into
 	// one contiguous page range per worker. Each shard collects matches
@@ -285,21 +186,11 @@ func (s *SSF) candidatesLocked(ctx context.Context, pred signature.Predicate, qu
 	// index order, so the match list and IndexPages are exactly those of
 	// a single sequential pass.
 	phase := tr.Begin()
-	npages := (s.count + s.sigsPerPage - 1) / s.sigsPerPage
-	nshards := workers
-	if nshards > npages {
-		nshards = npages
-	}
-	shardMatches := make([][]int, nshards)
-	shardStats := make([]SearchStats, nshards)
-	err := forEachTask(ctx, workers, nshards, func(shard int) error {
+	npages := (s.n + s.sigsPerPage - 1) / s.sigsPerPage
+	nshards := min(workers, npages)
+	shardMatches, err := scatter(ctx, workers, nshards, stats, func(shard int, part *SearchStats) ([]int, error) {
 		pLo, pHi := shardRange(npages, nshards, shard)
-		m, err := s.scanRange(ctx, pred, qsig, pLo, pHi, &shardStats[shard])
-		if err != nil {
-			return err
-		}
-		shardMatches[shard] = m
-		return nil
+		return s.scanRange(ctx, pred, qsig, pLo, pHi, part)
 	})
 	if err != nil {
 		return nil, err
@@ -308,7 +199,6 @@ func (s *SSF) candidatesLocked(ctx context.Context, pred signature.Predicate, qu
 	for _, m := range shardMatches {
 		matchIdx = append(matchIdx, m...)
 	}
-	addStats(stats, shardStats)
 	tr.End(obs.PhaseIndexScan, phase, stats.IndexPages)
 
 	// OID look-up (LC_OID): indexes are produced in ascending order, so
@@ -323,34 +213,15 @@ func (s *SSF) candidatesLocked(ctx context.Context, pred signature.Predicate, qu
 	return candidates, nil
 }
 
-// segmentCandidates implements segmentSearcher: the candidate phases of
-// a search under this facility's own shared lock, untraced. The LSM
-// layer fans one logical search across its segments through it.
-func (s *SSF) segmentCandidates(ctx context.Context, pred signature.Predicate, query []string, opts *SearchOptions, stats *SearchStats) ([]uint64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.candidatesLocked(ctx, pred, query, opts, stats, nil)
-}
-
-// liveOIDs implements segmentSearcher: every non-tombstoned OID in
-// storage order.
-func (s *SSF) liveOIDs() ([]uint64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []uint64
-	err := s.oid.scan(func(_ int, oid uint64) error {
-		out = append(out, oid)
-		return nil
-	})
-	return out, err
-}
+// liveOIDs implements index: every non-tombstoned OID in storage order.
+func (s *ssfIndex) liveOIDs() ([]uint64, error) { return s.oid.liveOIDs() }
 
 // scanRange scans signature pages [pLo, pHi), returning the matching
 // signature indexes in ascending order and counting the page reads into
 // stats. It allocates its own page buffer and scratch signature so
 // concurrent shards share nothing. Cancellation is checked before each
 // page read.
-func (s *SSF) scanRange(ctx context.Context, pred signature.Predicate, qsig *bitset.BitSet, pLo, pHi int, stats *SearchStats) ([]int, error) {
+func (s *ssfIndex) scanRange(ctx context.Context, pred signature.Predicate, qsig *bitset.BitSet, pLo, pHi int, stats *SearchStats) ([]int, error) {
 	var matchIdx []int
 	buf := make([]byte, pagestore.PageSize)
 	tsig := bitset.New(s.scheme.F())
@@ -362,7 +233,7 @@ func (s *SSF) scanRange(ctx context.Context, pred signature.Predicate, qsig *bit
 			return nil, fmt.Errorf("core: SSF scan: %w", err)
 		}
 		stats.IndexPages++
-		limit := s.count - p*s.sigsPerPage
+		limit := s.n - p*s.sigsPerPage
 		if limit > s.sigsPerPage {
 			limit = s.sigsPerPage
 		}
@@ -382,13 +253,8 @@ func (s *SSF) scanRange(ctx context.Context, pred signature.Predicate, qsig *bit
 	return matchIdx, nil
 }
 
-// Compact rebuilds the signature and OID files without tombstoned
-// entries, reclaiming the space deletions leave behind (an extension the
-// paper's update model leaves open). The store must be the one the SSF
-// was created with; compaction rewrites in place.
-func (s *SSF) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// compact rewrites both files in place without the tombstoned entries.
+func (s *ssfIndex) compact() error {
 	type rec struct {
 		oid uint64
 		sig []byte
@@ -413,8 +279,8 @@ func (s *SSF) Compact() error {
 	// rewrite the prefix and track the logical count; the paper's storage
 	// metric uses ceil(count/sigsPerPage) which Pages() reflects only for
 	// fresh builds — Compact is for reclaiming scan cost, which depends on
-	// s.count.
-	s.count = 0
+	// s.n.
+	s.n = 0
 	s.oid.n = 0
 	s.oid.live = 0
 	for i := range s.tail {
@@ -424,7 +290,7 @@ func (s *SSF) Compact() error {
 	s.tailPage = 0
 	nextSig := 0
 	for _, r := range live {
-		slot := s.count % s.sigsPerPage
+		slot := s.n % s.sigsPerPage
 		if slot == 0 {
 			if nextSig < s.sig.NumPages() {
 				s.tailPage = pagestore.PageID(nextSig)
@@ -444,7 +310,7 @@ func (s *SSF) Compact() error {
 		if err := s.sig.WritePage(s.tailPage, s.tail); err != nil {
 			return err
 		}
-		s.count++
+		s.n++
 	}
 	// Rebuild the OID file the same way.
 	s.oid.tailPage = 0
@@ -491,4 +357,4 @@ func putOID(page []byte, slot int, oid uint64) {
 	binary.LittleEndian.PutUint64(page[slot*8:], oid)
 }
 
-var _ AccessMethod = (*SSF)(nil)
+var _ subFacility = (*SSF)(nil)

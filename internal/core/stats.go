@@ -51,19 +51,20 @@ type FacilityStats struct {
 	// 0 for an unsharded facility.
 	Shards int
 	// ShardHealth is every shard's own health state, in shard order, for
-	// a sharded facility; nil otherwise. Health above aggregates it
-	// (worst shard wins).
+	// a sharded facility; nil otherwise. Health above is the worst of
+	// these and the facility's own ladder (which read faults feed: a
+	// search touches every shard).
 	ShardHealth []HealthState
 }
 
 // Describer is implemented by facilities that can report catalog
-// statistics. All four shipped facilities implement it.
+// statistics. Everything Open returns implements it.
 type Describer interface {
 	Describe() FacilityStats
 }
 
 // cardStats accumulates the cardinalities of inserted sets so Describe
-// can report the measured D_t. Guarded by the owning facility's mutex.
+// can report the measured D_t. Guarded by the owning facility's lock.
 type cardStats struct {
 	sum int64
 	n   int64
@@ -80,79 +81,3 @@ func (c *cardStats) avg() float64 {
 	}
 	return float64(c.sum) / float64(c.n)
 }
-
-// Describe implements Describer.
-func (s *SSF) Describe() FacilityStats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return FacilityStats{
-		Facility:     s.Name(),
-		Count:        s.oid.live,
-		AvgSetCard:   s.card.avg(),
-		F:            s.scheme.F(),
-		M:            s.scheme.M(),
-		StoragePages: s.sig.NumPages() + s.oid.pages(),
-		Health:       s.health.get(),
-	}
-}
-
-// Describe implements Describer.
-func (b *BSSF) Describe() FacilityStats {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	n := b.oid.pages()
-	for _, f := range b.slices {
-		n += f.NumPages()
-	}
-	return FacilityStats{
-		Facility:     b.Name(),
-		Count:        b.oid.live,
-		AvgSetCard:   b.card.avg(),
-		F:            b.scheme.F(),
-		M:            b.scheme.M(),
-		StoragePages: n,
-		Health:       b.health.get(),
-	}
-}
-
-// Describe implements Describer.
-func (f *FSSF) Describe() FacilityStats {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	n := f.oid.pages()
-	for _, file := range f.frames {
-		n += file.NumPages()
-	}
-	return FacilityStats{
-		Facility:     f.Name(),
-		Count:        f.oid.live,
-		AvgSetCard:   f.card.avg(),
-		F:            f.scheme.F(),
-		M:            f.scheme.M(),
-		Frames:       f.scheme.K(),
-		StoragePages: n,
-		Health:       f.health.get(),
-	}
-}
-
-// Describe implements Describer.
-func (n *NIX) Describe() FacilityStats {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return FacilityStats{
-		Facility:      n.Name(),
-		Count:         len(n.live),
-		AvgSetCard:    n.card.avg(),
-		DistinctElems: n.tree.Keys(),
-		LookupPages:   n.tree.Height(),
-		StoragePages:  n.tree.Pages(),
-		Health:        n.health.get(),
-	}
-}
-
-var (
-	_ Describer = (*SSF)(nil)
-	_ Describer = (*BSSF)(nil)
-	_ Describer = (*FSSF)(nil)
-	_ Describer = (*NIX)(nil)
-)

@@ -84,7 +84,7 @@ func runAblationBuffer(w io.Writer, opt Options) error {
 	// SSF under a pool: the sequential scan re-touches the same pages
 	// every query, so a pool sized to the signature file absorbs nearly
 	// everything after the first query.
-	run := func(name string, pooled bool) (int64, float64, error) {
+	run := func(kind core.Kind, pooled bool) (int64, float64, error) {
 		inner := pagestore.NewMemStore()
 		var store pagestore.Store = inner
 		var pools []*pagestore.BufferPool
@@ -95,15 +95,7 @@ func runAblationBuffer(w io.Writer, opt Options) error {
 			// visible instead of caching everything.
 			store = poolingStore{inner: inner, capacity: 8, pools: &pools}
 		}
-		var am core.AccessMethod
-		switch name {
-		case "SSF":
-			am, err = core.NewSSF(scheme, inst, store)
-		case "BSSF":
-			am, err = core.NewBSSF(scheme, inst, store)
-		case "NIX":
-			am, err = core.NewNIX(inst, store)
-		}
+		am, err := core.Open(core.Config{Kind: kind, Scheme: scheme, Source: inst, Store: store})
 		if err != nil {
 			return 0, 0, err
 		}
@@ -130,16 +122,16 @@ func runAblationBuffer(w io.Writer, opt Options) error {
 		}
 		return r1 - r0, hit, nil
 	}
-	for _, name := range []string{"SSF", "BSSF", "NIX"} {
-		cold, _, err := run(name, false)
+	for _, kind := range []core.Kind{core.KindSSF, core.KindBSSF, core.KindNIX} {
+		cold, _, err := run(kind, false)
 		if err != nil {
 			return err
 		}
-		pooled, hit, err := run(name, true)
+		pooled, hit, err := run(kind, true)
 		if err != nil {
 			return err
 		}
-		t.addf(name, cold, pooled, fmt.Sprintf("%.0f%%", 100*hit))
+		t.addf(kind.String(), cold, pooled, fmt.Sprintf("%.0f%%", 100*hit))
 	}
 	t.fprint(w)
 	fmt.Fprintf(w, "  (20 T ⊇ Q queries, Dq=3, N=%d, 8-page LRU per file; physical = reads reaching\n", cfg.N)

@@ -133,7 +133,7 @@ func runExtFSSF(w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	fssf, err := core.NewFSSF(signature.MustFrameScheme(k, f/k, m), inst, nil)
+	fssf, err := core.Open(core.Config{Kind: core.KindFSSF, FrameScheme: signature.MustFrameScheme(k, f/k, m), Source: inst})
 	if err != nil {
 		return err
 	}

@@ -16,9 +16,9 @@ import (
 type measuredSetup struct {
 	cfg  workload.Config
 	inst *workload.Instance
-	ssf  *core.SSF
-	bssf *core.BSSF
-	nix  *core.NIX
+	ssf  core.AccessMethod
+	bssf core.AccessMethod
+	nix  *core.NIX // concrete: Table 5 reads the tree's page breakdown
 	// per-facility stores, for aggregating physical page-access stats.
 	ssfStore, bssfStore, nixStore *pagestore.MemStore
 }
@@ -40,27 +40,28 @@ func buildMeasured(cfg workload.Config, f, m int) (*measuredSetup, error) {
 		bssfStore: pagestore.NewMemStore(),
 		nixStore:  pagestore.NewMemStore(),
 	}
-	if s.ssf, err = core.NewSSF(scheme, inst, s.ssfStore); err != nil {
+	open := func(kind core.Kind, store pagestore.Store) (core.AccessMethod, error) {
+		return core.Open(core.Config{Kind: kind, Scheme: scheme, Source: inst, Store: store})
+	}
+	if s.ssf, err = open(core.KindSSF, s.ssfStore); err != nil {
 		return nil, err
 	}
-	if s.bssf, err = core.NewBSSF(scheme, inst, s.bssfStore); err != nil {
+	if s.bssf, err = open(core.KindBSSF, s.bssfStore); err != nil {
 		return nil, err
 	}
-	if s.nix, err = core.NewNIX(inst, s.nixStore); err != nil {
+	nix, err := open(core.KindNIX, s.nixStore)
+	if err != nil {
 		return nil, err
 	}
+	s.nix = nix.(*core.NIX)
 	entries := make([]core.Entry, 0, cfg.N)
 	for oid := uint64(1); oid <= uint64(cfg.N); oid++ {
 		entries = append(entries, core.Entry{OID: oid, Elems: s.inst.Sets[oid]})
 	}
-	if err := s.ssf.InsertBatch(entries); err != nil {
-		return nil, err
-	}
-	if err := s.bssf.InsertBatch(entries); err != nil {
-		return nil, err
-	}
-	if err := s.nix.InsertBatch(entries); err != nil {
-		return nil, err
+	for _, am := range []core.AccessMethod{s.ssf, s.bssf, s.nix} {
+		if err := core.InsertAll(am, entries); err != nil {
+			return nil, err
+		}
 	}
 	return s, nil
 }

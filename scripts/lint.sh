@@ -9,7 +9,9 @@
 # ctxcheck, pageacct, errwrap, faultclass, wirecode, segimmut,
 # detorder, atomiccheck; DESIGN.md §11) always run; sigvet's -summary
 # table names the failing analyzer, and an unused //sigvet:ignore
-# directive anywhere in the repo fails the run. staticcheck and
+# directive anywhere in the repo fails the run. The benchmark harness
+# in bench/ is its own module that go vet ./... does not reach, so it is
+# vetted and tested here too (CI does it in the test job). staticcheck and
 # govulncheck run when installed; install the CI-pinned versions with
 #
 #   go install honnef.co/go/tools/cmd/staticcheck@2025.1.1
@@ -22,6 +24,9 @@ go vet ./...
 
 echo "==> sigvet"
 go run ./cmd/sigvet -summary ./...
+
+echo "==> bench harness (own module)"
+(cd bench && go vet . && go test .)
 
 if command -v staticcheck >/dev/null 2>&1; then
 	echo "==> staticcheck"

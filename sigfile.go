@@ -396,13 +396,6 @@ func WriteMetricsJSON(w io.Writer) error { return obs.Default().WriteJSON(w) }
 // text exposition format.
 func WriteMetricsPrometheus(w io.Writer) error { return obs.Default().WritePrometheus(w) }
 
-// Synchronize wraps an access method with a readers-writer lock so it
-// can be shared across goroutines (concurrent searches, exclusive
-// updates). The built-in facilities carry this contract internally and
-// do not need the wrapper; it remains for custom AccessMethod
-// implementations.
-func Synchronize(am AccessMethod) AccessMethod { return core.Synchronize(am) }
-
 // NewMemStore returns an in-memory page store.
 func NewMemStore() Store { return pagestore.NewMemStore() }
 
