@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
-	"sync"
 )
 
 const (
@@ -394,80 +393,74 @@ func (b *BitSet) LoadBinary(src []byte) error {
 	return nil
 }
 
-// LoadWordsAt overwrites b's words starting at word index wordOff with the
-// little-endian 64-bit words packed in src. It is the bulk page-to-bitset
-// path of the bit-sliced organizations: one slice page holds a word-aligned
-// run of positions, so a page read lands directly in the accumulator
-// without per-bit addressing. Words beyond b's backing are ignored; the
-// final word is re-trimmed so tail bits beyond Len() stay zero.
-func (b *BitSet) LoadWordsAt(wordOff int, src []byte) {
+// wordsAt returns the words of b, from word index wordOff on, that the
+// whole little-endian 64-bit words packed in src cover. Words of src beyond
+// b's backing are ignored, as are trailing bytes short of a word.
+func (b *BitSet) wordsAt(wordOff int, src []byte) []uint64 {
 	if wordOff < 0 || wordOff > len(b.words) {
 		panic(fmt.Sprintf("bitset: word offset %d out of range [0,%d]", wordOff, len(b.words)))
 	}
-	n := len(src) / 8
-	if rest := len(b.words) - wordOff; n > rest {
-		n = rest
+	dst := b.words[wordOff:]
+	if n := len(src) / 8; n < len(dst) {
+		dst = dst[:n]
 	}
-	for i := 0; i < n; i++ {
-		b.words[wordOff+i] = binary.LittleEndian.Uint64(src[i*8:])
+	return dst
+}
+
+// LoadWordsAt overwrites b's words starting at word index wordOff with the
+// words packed in src (see wordsAt). One slice page of the bit-sliced
+// organizations holds a word-aligned run of positions, so a page lands in
+// a set without per-bit addressing. Tail bits beyond Len() stay zero.
+func (b *BitSet) LoadWordsAt(wordOff int, src []byte) {
+	for i, dst := 0, b.wordsAt(wordOff, src); i < len(dst); i++ {
+		dst[i] = binary.LittleEndian.Uint64(src[i*8:])
 	}
 	b.trim()
 }
 
-// AndAll sets dst to the intersection of dst and every set in srcs,
-// splitting the word range across up to workers goroutines. Bitwise AND
-// is associative and commutative, so the result is identical to folding
-// the sets in sequentially — parallelism changes wall-clock only. All
-// sets must have dst's length.
-func AndAll(dst *BitSet, srcs []*BitSet, workers int) {
-	combineAll(dst, srcs, workers, func(d, s []uint64) {
-		for i, w := range s {
-			d[i] &= w
-		}
-	})
+// AndWordsAt ANDs the words packed in src into b's words starting at
+// wordOff; words of b outside that run are left as they are. With
+// OrWordsAt it is the streaming fold of a bit-sliced search: each slice
+// page is combined into one accumulator as it is read, so no set is
+// materialised per slice.
+func (b *BitSet) AndWordsAt(wordOff int, src []byte) {
+	for i, dst := 0, b.wordsAt(wordOff, src); i < len(dst); i++ {
+		dst[i] &= binary.LittleEndian.Uint64(src[i*8:])
+	}
 }
 
-// OrAll sets dst to the union of dst and every set in srcs, splitting the
-// word range across up to workers goroutines. See AndAll.
-func OrAll(dst *BitSet, srcs []*BitSet, workers int) {
-	combineAll(dst, srcs, workers, func(d, s []uint64) {
-		for i, w := range s {
-			d[i] |= w
-		}
-	})
+// OrWordsAt ORs the words packed in src into b's words starting at
+// wordOff. Tail bits beyond Len() stay zero whatever src's padding holds.
+func (b *BitSet) OrWordsAt(wordOff int, src []byte) {
+	for i, dst := 0, b.wordsAt(wordOff, src); i < len(dst); i++ {
+		dst[i] |= binary.LittleEndian.Uint64(src[i*8:])
+	}
+	b.trim()
 }
 
-// combineWorkerWords is the minimum number of words one combine worker
-// should own; below this the goroutine overhead outweighs the scan.
-const combineWorkerWords = 1024
-
-func combineAll(dst *BitSet, srcs []*BitSet, workers int, op func(d, s []uint64)) {
+// AndAll sets dst to the intersection of dst and every set in srcs, which
+// must all have dst's length. The last argument is ignored: searches fold
+// pages into per-worker accumulators (AndWordsAt) and no caller needs the
+// combine itself split; the signature is what the benchmark harness calls.
+func AndAll(dst *BitSet, srcs []*BitSet, _ int) {
 	for _, s := range srcs {
 		dst.mustMatch(s)
-	}
-	nw := len(dst.words)
-	if workers > nw/combineWorkerWords {
-		workers = nw / combineWorkerWords
-	}
-	if workers <= 1 || len(srcs) == 0 {
-		for _, s := range srcs {
-			op(dst.words, s.words)
+		d := dst.words[:len(s.words)]
+		for i, w := range s.words {
+			d[i] &= w
 		}
-		return
 	}
-	var wg sync.WaitGroup
-	for part := 0; part < workers; part++ {
-		lo := part * nw / workers
-		hi := (part + 1) * nw / workers
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for _, s := range srcs {
-				op(dst.words[lo:hi], s.words[lo:hi])
-			}
-		}(lo, hi)
+}
+
+// OrAll sets dst to the union of dst and every set in srcs. See AndAll.
+func OrAll(dst *BitSet, srcs []*BitSet, _ int) {
+	for _, s := range srcs {
+		dst.mustMatch(s)
+		d := dst.words[:len(s.words)]
+		for i, w := range s.words {
+			d[i] |= w
+		}
 	}
-	wg.Wait()
 }
 
 func min(a, b int) int {

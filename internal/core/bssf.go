@@ -194,45 +194,42 @@ func (b *bssfIndex) insert(oid uint64, elems []string) error {
 // the paper's delete-flag model (UC_D ≈ SC_OID/2).
 func (b *bssfIndex) delete(oid uint64, _ []string) error { return b.oid.delete(oid) }
 
-// readSlice loads slice j over all count bit positions, adding the page
-// reads to stats. A slice page is a word-aligned run of positions
-// (bitsPerSlicePage is a multiple of 64), so each page lands in the
-// result with one bulk word copy. Cancellation is checked before each
-// page read.
-func (b *bssfIndex) readSlice(ctx context.Context, j int, stats *SearchStats) (*bitset.BitSet, error) {
-	out := bitset.New(b.n)
-	buf := make([]byte, pagestore.PageSize)
-	stats.SlicesRead++
-	for p := 0; p*bitsPerSlicePage < b.n; p++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+// foldSlices reads every slice in js and combines them — AND when and is
+// set, OR otherwise — into one accumulator over all n bit positions. Each
+// worker reads its block of js page by page into one buffer and folds the
+// page straight into its accumulator: a slice page is a word-aligned run
+// of positions (bitsPerSlicePage is a multiple of 64), so it combines
+// word-wise at its word offset and no set is built per slice.
+// Cancellation is checked before each page read.
+func (b *bssfIndex) foldSlices(ctx context.Context, js []int, and bool, workers int, stats *SearchStats) (*bitset.BitSet, error) {
+	return foldBits(ctx, b.n, len(js), and, workers, stats, func(lo, hi int, acc *bitset.BitSet, part *SearchStats) error {
+		buf := make([]byte, pagestore.PageSize)
+		for _, j := range js[lo:hi] {
+			part.SlicesRead++
+			for p := 0; p*bitsPerSlicePage < b.n; p++ {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+				if err := b.slices[j].ReadPage(pagestore.PageID(p), buf); err != nil {
+					return fmt.Errorf("core: read slice %d page %d: %w", j, p, err)
+				}
+				part.IndexPages++
+				if and {
+					acc.AndWordsAt(p*bitsPerSlicePage/64, buf)
+				} else {
+					acc.OrWordsAt(p*bitsPerSlicePage/64, buf)
+				}
+			}
 		}
-		if err := b.slices[j].ReadPage(pagestore.PageID(p), buf); err != nil {
-			return nil, fmt.Errorf("core: read slice %d page %d: %w", j, p, err)
-		}
-		stats.IndexPages++
-		out.LoadWordsAt(p*bitsPerSlicePage/64, buf)
-	}
-	return out, nil
-}
-
-// readSlices loads every slice in js, fanning the reads across up to
-// workers goroutines. Slice i of the result corresponds to js[i], and
-// each read counts pages into its own per-slice stats, folded into stats
-// in js order — so SlicesRead and IndexPages match a sequential pass
-// exactly.
-func (b *bssfIndex) readSlices(ctx context.Context, js []int, workers int, stats *SearchStats) ([]*bitset.BitSet, error) {
-	return scatter(ctx, workers, len(js), stats, func(i int, part *SearchStats) (*bitset.BitSet, error) {
-		return b.readSlice(ctx, js[i], part)
+		return nil
 	})
 }
 
 // candidates implements index following §4.2's per-query-type slice
 // selection, §5.1.3's probe cap (opts.MaxProbeElements) and §5.2.2's
 // zero-slice cap (opts.MaxZeroSlices). With opts.Parallelism > 1 the slice
-// reads fan across a worker pool and the AND/OR combine splits its word
-// range across the same workers; AND and OR are commutative, so the
-// candidate list is identical at any setting.
+// list is cut into one block per worker (foldSlices); AND and OR are
+// commutative, so the candidate list is identical at any setting.
 func (b *bssfIndex) candidates(ctx context.Context, pred signature.Predicate, query []string, opts SearchOptions, stats *SearchStats, tr *obs.Trace) ([]uint64, error) {
 	qsig := b.scheme.SetSignatureStrings(probeElements(query, opts, pred))
 	workers := searchWorkers(opts)
@@ -242,16 +239,21 @@ func (b *bssfIndex) candidates(ctx context.Context, pred signature.Predicate, qu
 	var err error
 	switch pred {
 	case signature.Superset, signature.Contains:
-		candidateBits, err = b.andOnes(ctx, qsig, workers, stats)
+		// AND of the slices at the query's one-positions; an empty probe
+		// yields all positions (everything matches a vacuous ⊇). A real
+		// system could stop early once the accumulator is empty; the
+		// paper's algorithm (and cost model) reads all m_q slices, so we
+		// do too to keep measured costs comparable.
+		candidateBits, err = b.foldSlices(ctx, qsig.Ones(), true, workers, stats)
 	case signature.Subset:
 		candidateBits, err = b.orZerosComplement(ctx, qsig, opts.MaxZeroSlices, workers, stats)
 	case signature.Overlap:
-		candidateBits, err = b.orOnes(ctx, qsig, workers, stats)
+		candidateBits, err = b.foldSlices(ctx, qsig.Ones(), false, workers, stats)
 	case signature.Equals:
 		// Equality needs both conditions: 1s everywhere the query has 1s
 		// and 0s everywhere it has 0s.
 		var ones, zeros *bitset.BitSet
-		if ones, err = b.andOnes(ctx, qsig, workers, stats); err != nil {
+		if ones, err = b.foldSlices(ctx, qsig.Ones(), true, workers, stats); err != nil {
 			return nil, err
 		}
 		if zeros, err = b.orZerosComplement(ctx, qsig, 0, workers, stats); err != nil {
@@ -279,33 +281,6 @@ func (b *bssfIndex) candidates(ctx context.Context, pred signature.Predicate, qu
 // liveOIDs implements index: every non-tombstoned OID in storage order.
 func (b *bssfIndex) liveOIDs() ([]uint64, error) { return b.oid.liveOIDs() }
 
-// andOnes ANDs the slices at the query signature's one-positions; an
-// empty probe yields all positions (everything matches a vacuous ⊇).
-func (b *bssfIndex) andOnes(ctx context.Context, qsig *bitset.BitSet, workers int, stats *SearchStats) (*bitset.BitSet, error) {
-	acc := bitset.New(b.n)
-	acc.Fill()
-	slices, err := b.readSlices(ctx, qsig.Ones(), workers, stats)
-	if err != nil {
-		return nil, err
-	}
-	// Note: a real system could stop early once acc is empty; the
-	// paper's algorithm (and cost model) reads all m_q slices, so we
-	// do too to keep measured costs comparable.
-	bitset.AndAll(acc, slices, workers)
-	return acc, nil
-}
-
-// orOnes ORs the slices at the query's one-positions (overlap search).
-func (b *bssfIndex) orOnes(ctx context.Context, qsig *bitset.BitSet, workers int, stats *SearchStats) (*bitset.BitSet, error) {
-	acc := bitset.New(b.n)
-	slices, err := b.readSlices(ctx, qsig.Ones(), workers, stats)
-	if err != nil {
-		return nil, err
-	}
-	bitset.OrAll(acc, slices, workers)
-	return acc, nil
-}
-
 // orZerosComplement ORs the slices at the query's zero-positions and
 // complements: surviving positions have 0 at every scanned zero slice —
 // the T ⊆ Q match condition. maxZero > 0 caps how many zero slices are
@@ -315,12 +290,10 @@ func (b *bssfIndex) orZerosComplement(ctx context.Context, qsig *bitset.BitSet, 
 	if maxZero > 0 && len(zeros) > maxZero {
 		zeros = zeros[:maxZero]
 	}
-	acc := bitset.New(b.n)
-	slices, err := b.readSlices(ctx, zeros, workers, stats)
+	acc, err := b.foldSlices(ctx, zeros, false, workers, stats)
 	if err != nil {
 		return nil, err
 	}
-	bitset.OrAll(acc, slices, workers)
 	acc.Not()
 	return acc, nil
 }
@@ -340,10 +313,10 @@ func (b *bssfIndex) compact() error {
 	}); err != nil {
 		return fmt.Errorf("core: BSSF compact: %w", err)
 	}
-	var st SearchStats // discarded; readSlice wants stats
+	var st SearchStats // discarded; foldSlices wants stats
 	newCount := len(keep)
 	for j := range b.slices {
-		old, err := b.readSlice(context.Background(), j, &st)
+		old, err := b.foldSlices(context.Background(), []int{j}, false, 1, &st)
 		if err != nil {
 			return err
 		}

@@ -173,12 +173,9 @@ func (f *fssfIndex) insert(oid uint64, elems []string) error {
 func (f *fssfIndex) delete(oid uint64, _ []string) error { return f.oid.delete(oid) }
 
 // scanFrame reads frame file j over all count records, invoking fn with
-// each record's index and content. The record bitset is reused between
-// calls; fn must not retain it. It allocates its own buffers, so
-// concurrent scans of different frames share nothing.
-func (f *fssfIndex) scanFrame(ctx context.Context, j int, stats *SearchStats, fn func(idx int, rec *bitset.BitSet)) error {
-	buf := make([]byte, pagestore.PageSize)
-	rec := bitset.New(f.scheme.S())
+// each record's index and content. buf (one page) and rec (S bits) are the
+// caller's scratch, reused between calls; fn must not retain rec.
+func (f *fssfIndex) scanFrame(ctx context.Context, j int, buf []byte, rec *bitset.BitSet, stats *SearchStats, fn func(idx int, rec *bitset.BitSet)) error {
 	stats.SlicesRead++
 	for p := 0; p*f.recsPerPage < f.n; p++ {
 		if err := ctx.Err(); err != nil {
@@ -202,27 +199,37 @@ func (f *fssfIndex) scanFrame(ctx context.Context, j int, stats *SearchStats, fn
 	return nil
 }
 
-// frameMasks scans every frame in js on up to workers goroutines, each
-// scan building its own position mask (bit idx set iff pass reported the
-// record qualifying) and counting pages locally; the per-frame stats are
-// folded into stats in js order, so the counts match a sequential pass.
-func (f *fssfIndex) frameMasks(ctx context.Context, js []int, workers int, stats *SearchStats, pass func(j int, rec *bitset.BitSet) bool) ([]*bitset.BitSet, error) {
-	return scatter(ctx, workers, len(js), stats, func(i int, part *SearchStats) (*bitset.BitSet, error) {
-		j := js[i]
-		mask := bitset.New(f.n)
-		err := f.scanFrame(ctx, j, part, func(idx int, rec *bitset.BitSet) {
-			if pass(j, rec) {
-				mask.Set(idx)
+// frameMask scans every frame in js and returns the positions whose record
+// pass reported qualifying in every scanned frame (and) or in at least one
+// (or). Each worker scans its block of js with one page buffer and one
+// scratch record, clearing (and) or setting (or) bits in its own mask as
+// records fail or qualify; foldBits combines the worker masks and counts
+// in worker order, so the result matches a sequential pass.
+func (f *fssfIndex) frameMask(ctx context.Context, js []int, and bool, workers int, stats *SearchStats, pass func(j int, rec *bitset.BitSet) bool) (*bitset.BitSet, error) {
+	return foldBits(ctx, f.n, len(js), and, workers, stats, func(lo, hi int, mask *bitset.BitSet, part *SearchStats) error {
+		buf := make([]byte, pagestore.PageSize)
+		scratch := bitset.New(f.scheme.S())
+		for _, j := range js[lo:hi] {
+			err := f.scanFrame(ctx, j, buf, scratch, part, func(idx int, rec *bitset.BitSet) {
+				switch ok := pass(j, rec); {
+				case and && !ok:
+					mask.Clear(idx)
+				case !and && ok:
+					mask.Set(idx)
+				}
+			})
+			if err != nil {
+				return err
 			}
-		})
-		return mask, err
+		}
+		return nil
 	})
 }
 
-// candidates implements index. With opts.Parallelism > 1 the frame scans
-// run on a worker pool, each producing a per-frame qualifying mask; the
-// masks are then intersected or unioned — both commutative — so the
-// candidate list is identical at any setting. A probe cap reads fewer
+// candidates implements index. With opts.Parallelism > 1 the frame list
+// is cut into one block per worker, each folding its frames into one
+// qualifying mask (frameMask); intersection and union are commutative, so
+// the candidate list is identical at any setting. A probe cap reads fewer
 // frame files on T ⊇ Q à la §5.1.3.
 func (f *fssfIndex) candidates(ctx context.Context, pred signature.Predicate, query []string, opts SearchOptions, stats *SearchStats, tr *obs.Trace) ([]uint64, error) {
 	probe := probeElements(query, opts, pred)
@@ -273,16 +280,9 @@ func (f *fssfIndex) supersetCandidates(ctx context.Context, probe []string, work
 			need[frame].Set(b)
 		}
 	}
-	masks, err := f.frameMasks(ctx, sortedKeys(need), workers, stats, func(j int, rec *bitset.BitSet) bool {
+	return f.frameMask(ctx, sortedKeys(need), true, workers, stats, func(j int, rec *bitset.BitSet) bool {
 		return rec.ContainsAll(need[j])
 	})
-	if err != nil {
-		return nil, err
-	}
-	acc := bitset.New(f.n)
-	acc.Fill()
-	bitset.AndAll(acc, masks, workers)
-	return acc, nil
 }
 
 // subsetCandidates reads every frame: a target qualifies if each of its
@@ -296,16 +296,9 @@ func (f *fssfIndex) subsetCandidates(ctx context.Context, query []string, worker
 		}
 		return empty
 	}
-	masks, err := f.frameMasks(ctx, allFrames(f.scheme.K()), workers, stats, func(j int, rec *bitset.BitSet) bool {
+	return f.frameMask(ctx, allFrames(f.scheme.K()), true, workers, stats, func(j int, rec *bitset.BitSet) bool {
 		return rec.SubsetOf(qframe(j))
 	})
-	if err != nil {
-		return nil, err
-	}
-	acc := bitset.New(f.n)
-	acc.Fill()
-	bitset.AndAll(acc, masks, workers)
-	return acc, nil
 }
 
 // overlapCandidates marks targets whose frame contains all bits of at
@@ -320,7 +313,7 @@ func (f *fssfIndex) overlapCandidates(ctx context.Context, query []string, worke
 		}
 		perFrame[frame] = append(perFrame[frame], eb)
 	}
-	masks, err := f.frameMasks(ctx, sortedKeys(perFrame), workers, stats, func(j int, rec *bitset.BitSet) bool {
+	return f.frameMask(ctx, sortedKeys(perFrame), false, workers, stats, func(j int, rec *bitset.BitSet) bool {
 		for _, eb := range perFrame[j] {
 			if rec.ContainsAll(eb) {
 				return true
@@ -328,12 +321,6 @@ func (f *fssfIndex) overlapCandidates(ctx context.Context, query []string, worke
 		}
 		return false
 	})
-	if err != nil {
-		return nil, err
-	}
-	acc := bitset.New(f.n)
-	bitset.OrAll(acc, masks, workers)
-	return acc, nil
 }
 
 // equalsCandidates reads every frame: the target's frame content must
@@ -347,16 +334,9 @@ func (f *fssfIndex) equalsCandidates(ctx context.Context, query []string, worker
 		}
 		return empty
 	}
-	masks, err := f.frameMasks(ctx, allFrames(f.scheme.K()), workers, stats, func(j int, rec *bitset.BitSet) bool {
+	return f.frameMask(ctx, allFrames(f.scheme.K()), true, workers, stats, func(j int, rec *bitset.BitSet) bool {
 		return rec.Equal(qframe(j))
 	})
-	if err != nil {
-		return nil, err
-	}
-	acc := bitset.New(f.n)
-	acc.Fill()
-	bitset.AndAll(acc, masks, workers)
-	return acc, nil
 }
 
 func sortedKeys[V any](m map[int]V) []int {

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"sigfile/internal/bitset"
 	"sigfile/internal/signature"
 )
 
@@ -133,6 +134,51 @@ func scatter[T any](ctx context.Context, workers, n int, stats *SearchStats, fn 
 	}
 	addStats(stats, parts)
 	return out, nil
+}
+
+// foldBits is the one combine step of the bit-sliced searches: it cuts
+// the part list [0, n) into one contiguous block per worker, hands each
+// worker its own nbits-bit accumulator (all ones for an AND fold, all
+// zeros for an OR fold) and stats slot, and lets fold combine the block's
+// pages into that accumulator as they are read. The worker accumulators
+// and stats are then folded in worker order; AND and OR are commutative
+// and the counts are sums, so the result is that of one sequential pass at
+// any parallelism — and a search allocates one accumulator per worker
+// however many parts it reads.
+func foldBits(ctx context.Context, nbits, n int, and bool, workers int, stats *SearchStats, fold func(lo, hi int, acc *bitset.BitSet, part *SearchStats) error) (*bitset.BitSet, error) {
+	newAcc := func() *bitset.BitSet {
+		acc := bitset.New(nbits)
+		if and {
+			acc.Fill()
+		}
+		return acc
+	}
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		acc := newAcc()
+		if err := fold(0, n, acc, stats); err != nil {
+			return nil, err
+		}
+		return acc, nil
+	}
+	accs, err := scatter(ctx, workers, workers, stats, func(w int, part *SearchStats) (*bitset.BitSet, error) {
+		acc := newAcc()
+		lo, hi := shardRange(n, workers, w)
+		return acc, fold(lo, hi, acc, part)
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, acc := range accs[1:] {
+		if and {
+			accs[0].And(acc)
+		} else {
+			accs[0].Or(acc)
+		}
+	}
+	return accs[0], nil
 }
 
 // SearchRequest is one search of a batch submitted to SearchMany.

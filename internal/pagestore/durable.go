@@ -42,6 +42,13 @@ type Committer interface {
 // behind (see OpenDiskFile), so a multi-page update is always observed
 // fully applied or not at all.
 type DurableFile struct {
+	// wmu serialises the file's writers — WritePage, Allocate and the
+	// store commit that logs and applies their work — and is taken before
+	// mu. A store commit holds it from logging to applying, so the images
+	// it logged are the images it applies, while mu, which readers share,
+	// is held exclusively only while the file is written in place: a
+	// reader never waits for the log's fsync.
+	wmu   sync.Mutex
 	mu    sync.RWMutex
 	inner *DiskFile
 	tag   string
@@ -232,6 +239,8 @@ func (f *DurableFile) WritePage(id PageID, buf []byte) error {
 	if len(buf) < PageSize {
 		return fmt.Errorf("pagestore: write buffer %d bytes, need %d", len(buf), PageSize)
 	}
+	f.wmu.Lock()
+	defer f.wmu.Unlock()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
@@ -247,12 +256,15 @@ func (f *DurableFile) WritePage(id PageID, buf []byte) error {
 	}
 	copy(img, buf[:PageSize])
 	f.stats.countWrite()
+	f.noteDirtyLocked()
 	return nil
 }
 
 // Allocate implements File. The extension is logical until Commit, when
 // an extend record persists it.
 func (f *DurableFile) Allocate() (PageID, error) {
+	f.wmu.Lock()
+	defer f.wmu.Unlock()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
@@ -260,6 +272,7 @@ func (f *DurableFile) Allocate() (PageID, error) {
 	}
 	f.npages++
 	f.stats.countAlloc()
+	f.noteDirtyLocked()
 	return PageID(f.npages - 1), nil
 }
 
@@ -274,6 +287,18 @@ func (f *DurableFile) NumPages() int {
 // (overlay hits included); physical accesses are on the inner DiskFile.
 func (f *DurableFile) Stats() *Stats { return &f.stats }
 
+// noteDirtyLocked registers a store member for the store's next commit,
+// so Commit visits the files written since the last one instead of
+// scanning every member. Caller holds f.wmu, which makes registration
+// atomic with the write it records (a commit removes the file under the
+// same mutex); the set's own mutex is a leaf, so the order is only ever
+// file → set and store → set.
+func (f *DurableFile) noteDirtyLocked() {
+	if f.store != nil {
+		f.store.dirty.add(f)
+	}
+}
+
 // dirtyLocked reports whether the file has uncommitted writes or
 // allocations. Caller holds f.mu.
 func (f *DurableFile) dirtyLocked() bool {
@@ -281,7 +306,7 @@ func (f *DurableFile) dirtyLocked() bool {
 }
 
 // logPendingLocked appends the file's extent and page images to w.
-// Caller holds f.mu.
+// Caller holds f.mu, shared or exclusive, and keeps writers out.
 func (f *DurableFile) logPendingLocked(w *wal) error {
 	if f.npages > f.inner.NumPages() {
 		if err := w.appendExtend(f.tag, f.npages); err != nil {
@@ -419,6 +444,52 @@ type DurableStore struct {
 	fs    BlockFS
 	wal   *wal
 	files map[string]*DurableFile
+	// dirty holds the members with uncommitted writes or allocations;
+	// files add themselves as they are written (noteDirtyLocked) and leave
+	// once a commit has applied their images, so a failed commit keeps
+	// them. unsynced holds the members written in place since the last
+	// checkpoint, the only ones it has to fsync.
+	dirty, unsynced fileSet
+}
+
+// fileSet is a set of a store's member files behind its own mutex — a
+// leaf: it is taken with a file's or the store's mutex held, and nothing
+// is acquired under it.
+type fileSet struct {
+	mu sync.Mutex
+	m  map[*DurableFile]struct{}
+}
+
+func (s *fileSet) add(f *DurableFile) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.m == nil {
+		s.m = make(map[*DurableFile]struct{})
+	}
+	s.m[f] = struct{}{}
+}
+
+func (s *fileSet) remove(f *DurableFile) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.m, f)
+}
+
+// sorted returns the members in tag order, the order commits log and
+// apply in and checkpoints fsync in.
+func (s *fileSet) sorted() []*DurableFile {
+	s.mu.Lock()
+	out := make([]*DurableFile, 0, len(s.m))
+	for f := range s.m {
+		out = append(out, f)
+	}
+	s.mu.Unlock()
+	sortByTag(out)
+	return out
+}
+
+func sortByTag(files []*DurableFile) {
+	sort.Slice(files, func(i, j int) bool { return files[i].tag < files[j].tag })
 }
 
 // storeWALName is the shared log's name inside the store's BlockFS.
@@ -514,6 +585,7 @@ func (s *DurableStore) repairPage(f *DurableFile, id PageID) error {
 	defer s.mu.Unlock()
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	s.unsynced.add(f) // a repair writes in place
 	return f.repairLocked(s.wal, id)
 }
 
@@ -526,7 +598,7 @@ func (s *DurableStore) Quarantined() map[string][]PageID {
 		files = append(files, f)
 	}
 	s.mu.Unlock()
-	sort.Slice(files, func(i, j int) bool { return files[i].tag < files[j].tag })
+	sortByTag(files)
 	out := make(map[string][]PageID)
 	for _, f := range files {
 		if ids := f.QuarantinedPages(); len(ids) > 0 {
@@ -534,32 +606,6 @@ func (s *DurableStore) Quarantined() map[string][]PageID {
 		}
 	}
 	return out
-}
-
-// dirtyFilesLocked returns the members with uncommitted state, sorted by
-// tag, with their mutexes held. The caller must call the returned unlock
-// function. Caller holds s.mu.
-func (s *DurableStore) dirtyFilesLocked() ([]*DurableFile, func()) {
-	tags := make([]string, 0, len(s.files))
-	for tag := range s.files {
-		tags = append(tags, tag)
-	}
-	sort.Strings(tags)
-	var dirty []*DurableFile
-	for _, tag := range tags {
-		f := s.files[tag]
-		f.mu.Lock()
-		if f.dirtyLocked() {
-			dirty = append(dirty, f)
-		} else {
-			f.mu.Unlock()
-		}
-	}
-	return dirty, func() {
-		for _, f := range dirty {
-			f.mu.Unlock()
-		}
-	}
 }
 
 // Commit implements Committer: one transaction covering every member
@@ -570,14 +616,29 @@ func (s *DurableStore) Commit() error {
 	return s.commitLocked()
 }
 
+// commitLocked logs, syncs and applies the dirty members in tag order.
+// Their writers are held off for the whole commit; their readers only
+// while a file is written in place, not while the log is synced — a
+// search beside a stream of commits waits for page writes, never for an
+// fsync. Caller holds s.mu.
 func (s *DurableStore) commitLocked() error {
-	dirty, unlock := s.dirtyFilesLocked()
-	defer unlock()
+	dirty := s.dirty.sorted()
 	if len(dirty) == 0 {
 		return nil
 	}
 	for _, f := range dirty {
-		if err := f.logPendingLocked(s.wal); err != nil {
+		f.wmu.Lock()
+	}
+	defer func() {
+		for _, f := range dirty {
+			f.wmu.Unlock()
+		}
+	}()
+	for _, f := range dirty {
+		f.mu.RLock()
+		err := f.logPendingLocked(s.wal)
+		f.mu.RUnlock()
+		if err != nil {
 			return err
 		}
 	}
@@ -585,27 +646,39 @@ func (s *DurableStore) commitLocked() error {
 		return err
 	}
 	for _, f := range dirty {
-		if err := f.applyPendingLocked(); err != nil {
+		s.unsynced.add(f)
+		f.mu.Lock()
+		err := f.applyPendingLocked()
+		f.mu.Unlock()
+		if err != nil {
 			return err
 		}
+		s.dirty.remove(f)
 	}
 	return nil
 }
 
-// Checkpoint implements Committer: commit, fsync every page file,
-// truncate the shared log.
-func (s *DurableStore) Checkpoint() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// checkpointLocked commits, fsyncs the members written in place since the
+// last checkpoint, and truncates the shared log. Caller holds s.mu.
+func (s *DurableStore) checkpointLocked() error {
 	if err := s.commitLocked(); err != nil {
 		return err
 	}
-	for _, f := range s.files {
+	for _, f := range s.unsynced.sorted() {
 		if err := f.inner.Sync(); err != nil {
 			return fmt.Errorf("pagestore: checkpoint sync %s: %w", f.label(), err)
 		}
+		s.unsynced.remove(f)
 	}
 	return s.wal.reset()
+}
+
+// Checkpoint implements Committer: commit, fsync the page files, truncate
+// the shared log.
+func (s *DurableStore) Checkpoint() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.checkpointLocked()
 }
 
 // Close implements Store: checkpoint (clean shutdown leaves an empty
@@ -613,18 +686,7 @@ func (s *DurableStore) Checkpoint() error {
 func (s *DurableStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	err := s.commitLocked()
-	if err == nil {
-		for _, f := range s.files {
-			if serr := f.inner.Sync(); serr != nil {
-				err = serr
-				break
-			}
-		}
-	}
-	if err == nil {
-		err = s.wal.reset()
-	}
+	err := s.checkpointLocked()
 	for _, f := range s.files {
 		f.mu.Lock()
 		f.closed = true

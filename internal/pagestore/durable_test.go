@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestDiskFileDetectsTornPage is the no-WAL half of the durability
@@ -394,5 +395,75 @@ func TestDurableStoreConcurrentReaders(t *testing.T) {
 	case err := <-errc:
 		t.Fatal(err)
 	default:
+	}
+}
+
+// stallSyncFS is a BlockFS whose log device parks in Sync until released,
+// so a test can stand inside a commit's fsync.
+type stallSyncFS struct {
+	BlockFS
+	entered, release chan struct{}
+}
+
+func (fs stallSyncFS) Open(name string) (BlockFile, error) {
+	dev, err := fs.BlockFS.Open(name)
+	if err != nil || name != storeWALName {
+		return dev, err
+	}
+	return stallSyncFile{dev, fs}, nil
+}
+
+type stallSyncFile struct {
+	BlockFile
+	fs stallSyncFS
+}
+
+func (f stallSyncFile) Sync() error {
+	f.fs.entered <- struct{}{}
+	<-f.fs.release
+	return f.BlockFile.Sync()
+}
+
+// TestReadersDoNotWaitForLogSync: while a commit sits in the log's fsync,
+// a reader of a file in that commit is served — from the overlay, the
+// transaction's own image — instead of queueing behind the sync, and a
+// writer of that file waits until the commit is over.
+func TestReadersDoNotWaitForLogSync(t *testing.T) {
+	fs := stallSyncFS{NewCrashFS(nil), make(chan struct{}), make(chan struct{})}
+	store, err := OpenDurableStoreFS(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := store.Open("data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Allocate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.WritePage(0, page(0x71)); err != nil {
+		t.Fatal(err)
+	}
+	committed := make(chan error, 1)
+	go func() { committed <- store.Commit() }()
+	<-fs.entered // the commit is inside the log's fsync
+
+	buf := make([]byte, PageSize)
+	if err := f.ReadPage(0, buf); err != nil || !bytes.Equal(buf, page(0x71)) {
+		t.Fatalf("read during the log sync: err %v, first byte %#x", err, buf[0])
+	}
+	wrote := make(chan error, 1)
+	go func() { wrote <- f.WritePage(0, page(0x72)) }()
+	select {
+	case err := <-wrote:
+		t.Fatalf("a write slipped into the commit between its log and its apply: %v", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	fs.release <- struct{}{}
+	if err := <-committed; err != nil {
+		t.Fatalf("commit: %v", err)
+	}
+	if err := <-wrote; err != nil {
+		t.Fatalf("write after the commit: %v", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"syscall"
 	"testing"
 )
@@ -151,14 +152,18 @@ func TestCheckpointENOSPCRecovery(t *testing.T) {
 	if err := f.WritePage(1, fillPage('Y')); err != nil {
 		t.Fatalf("rewrite: %v", err)
 	}
-	// The checkpoint sequence is: append page images to the WAL, commit
-	// record + sync, then write the pages in place. Fail the 2nd write
-	// after this point — the WAL append succeeds, the in-place apply
-	// tears — with half the bytes landing (a torn page at ENOSPC).
-	fs.ArmAfter(FaultWrite, 3, FaultSpec{Err: syscall.ENOSPC, KeepBytes: -1})
+	// The checkpoint sequence is: one WAL write holding both page images
+	// and the commit record, sync, then write the pages in place. Fail the
+	// 2nd write after that point — the WAL append succeeds, page 0 is
+	// applied, the apply of page 1 tears — with half the bytes landing (a
+	// torn page at ENOSPC).
+	fs.ArmAfter(FaultWrite, 2, FaultSpec{Err: syscall.ENOSPC, KeepBytes: -1})
 	err := store.Checkpoint()
 	if !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("checkpoint = %v, want ENOSPC", err)
+	}
+	if !strings.Contains(err.Error(), "apply data page 1") {
+		t.Fatalf("checkpoint = %v, want the fault in the in-place apply of page 1", err)
 	}
 
 	// The process would now degrade or die; model a restart. Recovery
@@ -248,6 +253,96 @@ func TestCheckpointENOSPCEveryPoint(t *testing.T) {
 		}
 		if err := reopened.Close(); err != nil {
 			t.Fatalf("point %d: close: %v", point, err)
+		}
+	}
+}
+
+// TestCommitRetryKeepsUnappliedFilesDirty: the store commits from a dirty
+// set instead of scanning its members, so a commit that fails while
+// applying must leave the files it did not finish in that set — the retry
+// has nothing else to find them by.
+func TestCommitRetryKeepsUnappliedFilesDirty(t *testing.T) {
+	fs := NewFaultFS()
+	store, a := openStoreFile(t, fs, "a")
+	b, err := store.Open("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []File{a, b} {
+		if _, err := f.Allocate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range []File{a, b} {
+		if err := f.WritePage(0, fillPage(byte('a'+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Writes of the commit: the log (one write), then a's page, then b's.
+	fs.ArmAfter(FaultWrite, 2, FaultSpec{Err: syscall.ENOSPC, KeepBytes: -1})
+	if err := store.Commit(); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("commit = %v, want ENOSPC", err)
+	}
+	if d := store.dirty.sorted(); len(d) != 1 || d[0].tag != "b" {
+		t.Fatalf("after the failed commit %d files are dirty, want only b", len(d))
+	}
+	if err := store.Checkpoint(); err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	if d, u := store.dirty.sorted(), store.unsynced.sorted(); len(d)+len(u) != 0 {
+		t.Fatalf("after the checkpoint %d files dirty, %d unsynced, want none", len(d), len(u))
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := OpenDurableStoreFS(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	buf := make([]byte, PageSize)
+	for i, name := range []string{"a", "b"} {
+		f, err := reopened.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.ReadPage(0, buf); err != nil || !bytes.Equal(buf, fillPage(byte('a'+i))) {
+			t.Fatalf("%s page 0 after reopen: err %v, first byte %#x", name, err, buf[0])
+		}
+	}
+}
+
+// TestCommitIsOneLogWrite counts device writes: a transaction reaches the
+// log in one write whatever its page count, until its staged records pass
+// walStageLimit and are written out early.
+func TestCommitIsOneLogWrite(t *testing.T) {
+	clock := NewCrashClock(-1) // counts, never crashes
+	store, f := openStoreFile(t, NewCrashFS(clock), "data")
+	const big = walStageLimit/PageSize + 8 // images of this many pages pass the limit once
+	for i := 0; i < big; i++ {
+		if _, err := f.Allocate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.Commit(); err != nil { // the extension only
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ pages, logWrites int }{{1, 1}, {21, 1}, {big, 2}} {
+		for i := 0; i < c.pages; i++ {
+			if err := f.WritePage(PageID(i), fillPage(byte(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := clock.Ops()
+		if err := store.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		// Every other write of a commit is one in-place page write.
+		if got := clock.Ops() - before - c.pages; got != c.logWrites {
+			t.Errorf("commit of %d pages: %d log writes, want %d", c.pages, got, c.logWrites)
 		}
 	}
 }

@@ -258,8 +258,14 @@ type DiskFile struct {
 	npages int
 	closed bool
 	stats  Stats
-	frame  [diskFrameSize]byte // scratch, guarded by mu
 }
+
+// framePool holds the page-frame scratch of DiskFile operations. A file
+// borrows a frame per operation instead of owning one: a store keeps a
+// DiskFile for every file it has opened — an LSM tenant opens 501 per BSSF
+// segment and a DurableStore never forgets one — so a frame per file is
+// memory that grows with every flush.
+var framePool = sync.Pool{New: func() any { return new([diskFrameSize]byte) }}
 
 // OpenDiskFile opens (creating if necessary) the page file at path. An
 // existing file must have a size that is a multiple of the page frame
@@ -303,11 +309,16 @@ func newDiskFile(bf BlockFile, name string) (*DiskFile, error) {
 	return &DiskFile{f: bf, name: name, npages: int(size / diskFrameSize)}, nil
 }
 
-// sealFrame fills d.frame with data plus its checksum trailer.
-func (d *DiskFile) sealFrame(data []byte) {
-	copy(d.frame[:PageSize], data[:PageSize])
-	binary.LittleEndian.PutUint32(d.frame[PageSize:], crc32.Checksum(d.frame[:PageSize], castagnoli))
-	binary.LittleEndian.PutUint32(d.frame[PageSize+4:], pageMagic)
+// writeFrame writes data plus its checksum trailer as page id's frame.
+// Caller holds d.mu.
+func (d *DiskFile) writeFrame(id int, data []byte) error {
+	frame := framePool.Get().(*[diskFrameSize]byte)
+	defer framePool.Put(frame)
+	copy(frame[:PageSize], data[:PageSize])
+	binary.LittleEndian.PutUint32(frame[PageSize:], crc32.Checksum(frame[:PageSize], castagnoli))
+	binary.LittleEndian.PutUint32(frame[PageSize+4:], pageMagic)
+	_, err := d.f.WriteAt(frame[:], int64(id)*diskFrameSize)
+	return err
 }
 
 // ReadPage implements File. It verifies the page checksum and returns an
@@ -324,17 +335,19 @@ func (d *DiskFile) ReadPage(id PageID, buf []byte) error {
 	if int(id) >= d.npages {
 		return fmt.Errorf("%w: read page %d of %d", ErrPageOutOfRange, id, d.npages)
 	}
-	if _, err := d.f.ReadAt(d.frame[:], int64(id)*diskFrameSize); err != nil {
+	frame := framePool.Get().(*[diskFrameSize]byte)
+	defer framePool.Put(frame)
+	if _, err := d.f.ReadAt(frame[:], int64(id)*diskFrameSize); err != nil {
 		return fmt.Errorf("pagestore: read page %d: %w", id, err)
 	}
-	if magic := binary.LittleEndian.Uint32(d.frame[PageSize+4:]); magic != pageMagic {
+	if magic := binary.LittleEndian.Uint32(frame[PageSize+4:]); magic != pageMagic {
 		return fmt.Errorf("%w: %s page %d has bad frame magic %#x", ErrChecksum, d.name, id, magic)
 	}
-	want := binary.LittleEndian.Uint32(d.frame[PageSize:])
-	if got := crc32.Checksum(d.frame[:PageSize], castagnoli); got != want {
+	want := binary.LittleEndian.Uint32(frame[PageSize:])
+	if got := crc32.Checksum(frame[:PageSize], castagnoli); got != want {
 		return fmt.Errorf("%w: %s page %d crc %#x, stored %#x", ErrChecksum, d.name, id, got, want)
 	}
-	copy(buf[:PageSize], d.frame[:PageSize])
+	copy(buf[:PageSize], frame[:PageSize])
 	d.stats.countRead()
 	return nil
 }
@@ -354,8 +367,7 @@ func (d *DiskFile) WritePage(id PageID, buf []byte) error {
 	if int(id) >= d.npages {
 		return fmt.Errorf("%w: write page %d of %d", ErrPageOutOfRange, id, d.npages)
 	}
-	d.sealFrame(buf)
-	if _, err := d.f.WriteAt(d.frame[:], int64(id)*diskFrameSize); err != nil {
+	if err := d.writeFrame(int(id), buf); err != nil {
 		return fmt.Errorf("pagestore: write page %d: %w", id, err)
 	}
 	d.stats.countWrite()
@@ -370,8 +382,7 @@ func (d *DiskFile) Allocate() (PageID, error) {
 		return 0, ErrClosed
 	}
 	var zero [PageSize]byte
-	d.sealFrame(zero[:])
-	if _, err := d.f.WriteAt(d.frame[:], int64(d.npages)*diskFrameSize); err != nil {
+	if err := d.writeFrame(d.npages, zero[:]); err != nil {
 		return 0, fmt.Errorf("pagestore: extend to page %d: %w", d.npages, err)
 	}
 	d.npages++

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // fileFactories enumerates the File implementations under test so every
@@ -506,5 +507,14 @@ func TestDiskStoreNameValidation(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(s.dir, "objects", "Student.pag")); err != nil {
 		t.Fatalf("nested file not created: %v", err)
+	}
+}
+
+// TestDiskFileOwnsNoPageBuffer: a store keeps one DiskFile per file it
+// has opened (an LSM tenant: 501 per segment), so the struct must stay
+// small — page-sized scratch comes from framePool per operation.
+func TestDiskFileOwnsNoPageBuffer(t *testing.T) {
+	if size := unsafe.Sizeof(DiskFile{}); size > 256 {
+		t.Fatalf("DiskFile is %d bytes; it must not own page-sized buffers", size)
 	}
 }

@@ -8,7 +8,8 @@
 //  1. full images of every page a transaction dirtied are appended to the
 //     log, each tagged with its file name and page id;
 //  2. a commit record is appended and the log is fsynced — the
-//     transaction's durability point;
+//     transaction's durability point (the records of steps 1 and 2 are
+//     staged in memory and reach the device in one write, see wal.flush);
 //  3. only then are the images applied in place to the page files.
 //
 // Recovery replays the log from the start: images are buffered per
@@ -52,14 +53,27 @@ const (
 	walRecCommit = byte('C')
 )
 
+// walStageLimit is how many staged bytes a transaction may hold before
+// they are written out ahead of its commit record, so a bulk load does not
+// keep its whole log in memory; a stage that grew past walStageKeep is
+// released after its write rather than kept for the life of the log (a
+// BSSF insert stages ≈ 90 KB, a bulk load the full limit).
+const (
+	walStageLimit = 1 << 20
+	walStageKeep  = 128 << 10
+)
+
 // wal is an append-only physical redo log over a BlockFile. It is not
 // itself goroutine-safe; DurableFile and DurableStore serialize access.
+//
+// A transaction's records are staged in buf and reach the device with its
+// commit record in one write; size counts only what has been written.
 type wal struct {
 	dev  BlockFile
 	name string
 	size int64 // append offset
 	seq  uint64
-	buf  []byte // record staging buffer
+	buf  []byte // staged records not yet written
 }
 
 // openWAL attaches to dev, validating the header of a non-empty log.
@@ -86,25 +100,44 @@ func openWAL(dev BlockFile, name string) (*wal, error) {
 	return w, nil
 }
 
-// appendRaw writes rec at the log tail, emitting the header first on an
-// empty log.
-func (w *wal) appendRaw(rec []byte) error {
-	if w.size == 0 {
-		if _, err := w.dev.WriteAt([]byte(walMagic), 0); err != nil {
-			return fmt.Errorf("pagestore: wal %s header: %w", w.name, err)
-		}
-		w.size = int64(len(walMagic))
+// beginRecord stages kind, the first byte of a record, and returns the
+// record's offset in the stage. On an empty log the header goes first.
+func (w *wal) beginRecord(kind byte) int {
+	if w.size == 0 && len(w.buf) == 0 {
+		w.buf = append(w.buf, walMagic...)
 	}
-	if _, err := w.dev.WriteAt(rec, w.size); err != nil {
-		return fmt.Errorf("pagestore: wal %s append: %w", w.name, err)
-	}
-	w.size += int64(len(rec))
-	return nil
+	w.buf = append(w.buf, kind)
+	return len(w.buf) - 1
 }
 
-// sealRecord appends the CRC32C of rec to rec and returns it.
-func sealRecord(rec []byte) []byte {
-	return binary.LittleEndian.AppendUint32(rec, crc32Checksum(rec))
+// sealRecord closes the record staged from offset start with its CRC32C
+// and writes the stage out early once it has passed walStageLimit.
+func (w *wal) sealRecord(start int) error {
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc32Checksum(w.buf[start:]))
+	if len(w.buf) < walStageLimit {
+		return nil
+	}
+	return w.flush()
+}
+
+// flush writes the staged records, if any, at the log tail in one write.
+// The stage is dropped either way: after a failed write the transaction
+// has not committed, and its owner logs it again in full on the next
+// attempt.
+func (w *wal) flush() error {
+	staged := w.buf
+	w.buf = w.buf[:0]
+	if cap(staged) > walStageKeep {
+		w.buf = nil
+	}
+	if len(staged) == 0 {
+		return nil
+	}
+	if _, err := w.dev.WriteAt(staged, w.size); err != nil {
+		return fmt.Errorf("pagestore: wal %s append: %w", w.name, err)
+	}
+	w.size += int64(len(staged))
+	return nil
 }
 
 // appendPage logs a full page image for file tag.
@@ -112,33 +145,33 @@ func (w *wal) appendPage(tag string, id PageID, data []byte) error {
 	if len(data) < PageSize {
 		return fmt.Errorf("pagestore: wal page image %d bytes, need %d", len(data), PageSize)
 	}
-	w.buf = w.buf[:0]
-	w.buf = append(w.buf, walRecPage)
+	start := w.beginRecord(walRecPage)
 	w.buf = binary.LittleEndian.AppendUint16(w.buf, uint16(len(tag)))
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(id))
 	w.buf = append(w.buf, tag...)
 	w.buf = append(w.buf, data[:PageSize]...)
-	return w.appendRaw(sealRecord(w.buf))
+	return w.sealRecord(start)
 }
 
 // appendExtend logs that file tag spans npages pages.
 func (w *wal) appendExtend(tag string, npages int) error {
-	w.buf = w.buf[:0]
-	w.buf = append(w.buf, walRecExtend)
+	start := w.beginRecord(walRecExtend)
 	w.buf = binary.LittleEndian.AppendUint16(w.buf, uint16(len(tag)))
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(npages))
 	w.buf = append(w.buf, tag...)
-	return w.appendRaw(sealRecord(w.buf))
+	return w.sealRecord(start)
 }
 
-// commit appends the commit record and syncs the log — the transaction's
-// durability point.
+// commit stages the commit record, writes the transaction out and syncs
+// the log — the transaction's durability point.
 func (w *wal) commit() error {
 	w.seq++
-	w.buf = w.buf[:0]
-	w.buf = append(w.buf, walRecCommit)
+	start := w.beginRecord(walRecCommit)
 	w.buf = binary.LittleEndian.AppendUint64(w.buf, w.seq)
-	if err := w.appendRaw(sealRecord(w.buf)); err != nil {
+	if err := w.sealRecord(start); err != nil {
+		return err
+	}
+	if err := w.flush(); err != nil {
 		return err
 	}
 	if err := w.dev.Sync(); err != nil {
