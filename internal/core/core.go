@@ -26,7 +26,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"sigfile/internal/signature"
 )
@@ -172,13 +172,6 @@ type AccessMethod interface {
 	Count() int
 }
 
-// errInvalidPredicate builds the error every facility returns for an
-// out-of-range Predicate, wrapping signature.ErrInvalidPredicate so
-// callers can match it with errors.Is.
-func errInvalidPredicate(pred signature.Predicate) error {
-	return fmt.Errorf("core: %w: %d", signature.ErrInvalidPredicate, int(pred))
-}
-
 // dedup returns query with duplicates removed, preserving order; the
 // paper's D_q is a set cardinality.
 func dedup(elems []string) []string {
@@ -212,42 +205,47 @@ func probeElements(query []string, opts SearchOptions, pred signature.Predicate)
 	}
 }
 
-// verifyCandidates resolves each candidate OID against the exact
+// verifyCandidates resolves each candidate OID against the compiled
 // predicate on up to workers goroutines, updating stats, and returns the
-// qualifying OIDs. Each candidate's verdict lands in its own slot, so the
-// result set and every stats field are independent of worker count. On
-// error the stats are unreliable and the caller must discard them, which
-// also means a partial fetch count need not be reported.
-func verifyCandidates(ctx context.Context, src SetSource, pred signature.Predicate, query []string, candidates []uint64, stats *SearchStats, workers int) ([]uint64, error) {
-	keep := make([]bool, len(candidates))
+// qualifying OIDs in ascending order. It filters candidates in place — the
+// shell owns the slice — by overwriting each rejected slot with the
+// reserved OID 0 and compacting afterwards; each verdict lands in its own
+// slot, so the result set and every stats field are independent of worker
+// count. On error the stats are unreliable and the caller must discard
+// them, which also means a partial fetch count need not be reported.
+func verifyCandidates(ctx context.Context, src SetSource, match *signature.Compiled, candidates []uint64, stats *SearchStats, workers int) ([]uint64, error) {
 	err := forEachTask(ctx, workers, len(candidates), func(i int) error {
 		oid := candidates[i]
 		target, err := src.Set(oid)
 		if err != nil {
 			return fmt.Errorf("core: resolve OID %d: %w", oid, err)
 		}
-		ok, err := signature.EvaluateSets(pred, target, query)
-		if err != nil {
-			return fmt.Errorf("core: verify OID %d: %w", oid, err)
+		if !match.Match(target) {
+			candidates[i] = 0
 		}
-		keep[i] = ok
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	stats.ObjectFetches += int64(len(candidates))
-	results := make([]uint64, 0, len(candidates))
-	for i, ok := range keep {
-		if ok {
-			results = append(results, candidates[i])
+	stats.Candidates = len(candidates)
+	results := candidates[:0]
+	for _, oid := range candidates {
+		if oid != 0 {
+			results = append(results, oid)
 		}
 	}
-	stats.Candidates = len(candidates)
+	if results == nil {
+		results = []uint64{} // Result.OIDs is never nil
+	}
 	stats.Results = len(results)
 	stats.FalseDrops = stats.Candidates - stats.Results
-	// Candidates arrive in storage order (signature-file position or
-	// postings order); the API contract is ascending OIDs.
-	sort.Slice(results, func(i, j int) bool { return results[i] < results[j] })
+	// Candidates arrive in storage order (signature-file position, or
+	// segment and shard order); the API contract is ascending OIDs. NIX
+	// candidates already are.
+	if !slices.IsSorted(results) {
+		slices.Sort(results)
+	}
 	return results, nil
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"sigfile/internal/bitset"
@@ -367,15 +366,6 @@ func TestBSSFSearchAllocCeiling(t *testing.T) {
 				t.Fatalf("%v: %d OIDs, err %v", pred, len(res.OIDs), err)
 			}
 		}
-	}
-	bytesPerRun := func(runs int, f func()) uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			f()
-		}
-		runtime.ReadMemStats(&after)
-		return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 	}
 	if got := testing.AllocsPerRun(20, search(signature.Subset, subQ)); got > 250 {
 		t.Errorf("T ⊆ Q at D_q=100: %.0f allocs per search, budget 250", got)

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"sigfile/internal/signature"
 )
@@ -58,7 +58,7 @@ func (m *lsmMemtable) sortedOIDs() []uint64 {
 	for oid := range m.entries {
 		out = append(out, oid)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -68,24 +68,27 @@ func (m *lsmMemtable) sortedTombs() []uint64 {
 	for oid := range m.tombs {
 		out = append(out, oid)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
-// candidates evaluates pred exactly against every resident entry and
-// returns the qualifying OIDs in ascending order. The memtable holds
-// the actual set values, so this is not a signature filter — no false
-// drops are produced — but the OIDs still flow through the common
-// verification pass, which re-derives the same answer from the
-// SetSource.
+// candidates evaluates pred exactly against every resident entry, with
+// the query compiled once for the whole scan, and returns the qualifying
+// OIDs in ascending order. The memtable holds the actual set values, so
+// this is not a signature filter — no false drops are produced — but the
+// OIDs still flow through the common verification pass, which re-derives
+// the same answer from the SetSource.
 func (m *lsmMemtable) candidates(pred signature.Predicate, query []string) ([]uint64, error) {
+	if len(m.entries) == 0 {
+		return nil, nil
+	}
+	match, err := signature.Compile(pred, query)
+	if err != nil {
+		return nil, err
+	}
 	var out []uint64
 	for _, oid := range m.sortedOIDs() {
-		ok, err := signature.EvaluateSets(pred, m.entries[oid], query)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
+		if match.Match(m.entries[oid]) {
 			out = append(out, oid)
 		}
 	}

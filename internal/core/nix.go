@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"sigfile/internal/btree"
 	"sigfile/internal/obs"
@@ -183,10 +184,12 @@ func (n *nixIndex) candidates(ctx context.Context, pred signature.Predicate, que
 		// (∅ ⊆ Q always), the objects appearing under no element at all.
 		// Objects with empty sets have no postings, so they must be
 		// checked separately; the paper's model ignores them (every set
-		// has cardinality D_t > 0) and so do we unless they exist.
+		// has cardinality D_t > 0) and so do we unless they exist. They
+		// join the union as one more list, so the combine sorts once.
+		if len(n.empty) > 0 {
+			postings = append(postings, n.emptySetOIDs())
+		}
 		candidates = unionSorted(postings)
-		candidates = append(candidates, n.emptySetOIDs()...)
-		sort.Slice(candidates, func(i, j int) bool { return candidates[i] < candidates[j] })
 	case signature.Overlap:
 		candidates = unionSorted(postings)
 	}
@@ -206,7 +209,7 @@ func (n *nixIndex) liveOIDs() ([]uint64, error) {
 		}
 		out = append(out, oid)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out, nil
 }
 
@@ -217,7 +220,7 @@ func (n *nixIndex) allOIDs() []uint64 {
 	for oid := range n.live {
 		out = append(out, oid)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -228,7 +231,7 @@ func (n *nixIndex) emptySetOIDs() []uint64 {
 	for oid := range n.empty {
 		out = append(out, oid)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -238,7 +241,7 @@ func intersectSorted(lists [][]uint64) []uint64 {
 		return nil
 	}
 	// Start from the shortest list to keep the working set small.
-	sort.Slice(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
+	slices.SortFunc(lists, func(a, b []uint64) int { return cmp.Compare(len(a), len(b)) })
 	acc := lists[0]
 	for _, l := range lists[1:] {
 		if len(acc) == 0 {
@@ -265,11 +268,15 @@ func intersectSorted(lists [][]uint64) []uint64 {
 
 // unionSorted unions sorted OID lists into a sorted, deduplicated list.
 func unionSorted(lists [][]uint64) []uint64 {
-	var out []uint64
+	total := 0
+	for _, l := range lists {
+		total += len(l)
+	}
+	out := make([]uint64, 0, total)
 	for _, l := range lists {
 		out = append(out, l...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	dst := out[:0]
 	for i, v := range out {
 		if i == 0 || v != out[i-1] {

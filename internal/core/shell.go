@@ -28,9 +28,10 @@ import (
 type index interface {
 	// candidates runs the index-scan and OID-map phases of a search —
 	// everything up to (but not including) false-drop resolution — and
-	// returns the candidate OIDs. query is deduplicated and opts carries
-	// pinned caps (never Smart). SlicesRead, IndexPages and OIDPages land
-	// in stats; the two phases are emitted as spans on tr (nil-safe).
+	// returns the candidate OIDs in a slice the shell owns: resolution
+	// filters it in place. query is deduplicated and opts carries pinned
+	// caps (never Smart). SlicesRead, IndexPages and OIDPages land in
+	// stats; the two phases are emitted as spans on tr (nil-safe).
 	candidates(ctx context.Context, pred signature.Predicate, query []string, opts SearchOptions, stats *SearchStats, tr *obs.Trace) ([]uint64, error)
 	insert(oid uint64, elems []string) error
 	delete(oid uint64, elems []string) error
@@ -136,9 +137,14 @@ func (sh *shell) Search(pred signature.Predicate, query []string, opts ...Search
 // index composes other facilities, because those run through
 // segmentCandidates.
 func (sh *shell) SearchContext(ctx context.Context, pred signature.Predicate, query []string, opts ...SearchOption) (res *Result, err error) {
-	if !pred.Valid() {
-		return nil, errInvalidPredicate(pred)
+	// The one query table of the search: it validates pred, deduplicates
+	// the query for the index and decides every candidate in the
+	// resolution pass.
+	match, err := signature.Compile(pred, query)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
+	query = match.Elems()
 	if err := sh.health.gateRead(); err != nil {
 		return nil, err
 	}
@@ -150,7 +156,6 @@ func (sh *shell) SearchContext(ctx context.Context, pred signature.Predicate, qu
 	defer func() { tr.Finish(err) }()
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	query = dedup(query)
 	// Pin the smart caps here, from the whole facility's live count, so
 	// every segment and shard below applies the same filter strength.
 	o = smartCaps(sh.kind, sh.m, sh.idx.count(), o)
@@ -163,7 +168,7 @@ func (sh *shell) SearchContext(ctx context.Context, pred signature.Predicate, qu
 		return nil, err
 	}
 	phase := tr.Begin()
-	oids, err := verifyCandidates(ctx, sh.src, pred, query, candidates, &stats, searchWorkers(o))
+	oids, err := verifyCandidates(ctx, sh.src, match, candidates, &stats, searchWorkers(o))
 	if err != nil {
 		return nil, err
 	}

@@ -603,7 +603,7 @@ func (e *Engine) executeCtx(ctx context.Context, q *Query, eo *ExecOptions) (*Re
 	if zeroCap > 0 {
 		opts = append(opts, core.WithMaxZeroSlices(zeroCap))
 	}
-	res, err := ent.am.SearchContext(ctx, d.set.Op, d.elems, opts...)
+	res, err := ent.am.SearchContext(ctx, d.set.Op, d.match.Elems(), opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -656,8 +656,10 @@ func (e *Engine) executeCtx(ctx context.Context, q *Query, eo *ExecOptions) (*Re
 // compiledPart is a predicate with its operands resolved (subqueries
 // executed, attribute kinds validated).
 type compiledPart struct {
-	set   *SetPredicate
-	elems []string // resolved query set (set parts only)
+	set *SetPredicate
+	// match is the resolved query set compiled against set.Op (set parts
+	// only): the driving search's query and the per-object test.
+	match *signature.Compiled
 	sub   *PlanNode
 	// nested resolves a dotted-path set predicate per object.
 	nested  *oodb.NestedSetSource
@@ -693,7 +695,7 @@ func (e *Engine) pickDriver(class string, parts []compiledPart) *driverPlan {
 		if len(ents) == 0 {
 			continue
 		}
-		pl := e.planFor(key, ents, p.set.Op, len(dedupElems(p.elems)))
+		pl := e.planFor(key, ents, p.set.Op, len(p.match.Elems()))
 		c := pl.Chosen()
 		if c == nil || c.Index >= len(ents) {
 			continue
@@ -774,7 +776,11 @@ func (e *Engine) compileParts(ctx context.Context, cls *oodb.Class, where Predic
 			if err != nil {
 				return nil, err
 			}
-			part := compiledPart{set: pred, elems: elems, sub: sub}
+			match, err := signature.Compile(pred.Op, elems)
+			if err != nil {
+				return nil, fmt.Errorf("query: %w", err)
+			}
+			part := compiledPart{set: pred, match: match, sub: sub}
 			if setAttr, leafAttr, isNested := strings.Cut(pred.Attr, "."); isNested {
 				part.nested, err = e.db.NewNestedSetSource(cls.Name, setAttr, leafAttr)
 				if err != nil {
@@ -846,7 +852,7 @@ func evalPart(o *oodb.Object, p compiledPart) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		return signature.EvaluateSets(p.set.Op, target, p.elems)
+		return p.match.Match(target), nil
 	}
 	v, ok := o.Attr(p.cmp.Attr)
 	if !ok {

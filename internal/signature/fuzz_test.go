@@ -2,6 +2,7 @@ package signature
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"sigfile/internal/bitset"
@@ -70,6 +71,45 @@ func FuzzSchemeRoundTrip(f *testing.F) {
 		}
 		if !set.Equal(back) {
 			t.Fatalf("signature did not survive the marshal round trip")
+		}
+	})
+}
+
+// FuzzCompiledMatch checks the compiled matcher against the EvaluateSets
+// oracle on arbitrary inputs. Every byte is one element, so a query of up
+// to 256 distinct elements crosses the one-word distinct-hit count, and
+// repeated bytes give both sides duplicates.
+func FuzzCompiledMatch(f *testing.F) {
+	f.Add(uint8(Superset), []byte("abc"), []byte("cbaab"))
+	f.Add(uint8(Subset), []byte("abc"), []byte("aab"))
+	f.Add(uint8(Equals), []byte("abcc"), []byte("cba"))
+	f.Add(uint8(Overlap), []byte{}, []byte("x"))
+	f.Add(uint8(Contains), []byte("q"), []byte{})
+	f.Add(uint8(Superset), bytes.Repeat([]byte("0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ+/"), 2), []byte("0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ+-//"))
+	f.Add(uint8(5), []byte("a"), []byte("a"))
+	elems := func(data []byte) []string {
+		out := make([]string, len(data))
+		for i, b := range data {
+			out[i] = string([]byte{b})
+		}
+		return out
+	}
+	f.Fuzz(func(t *testing.T, praw uint8, qdata, tdata []byte) {
+		p := Predicate(praw % 6)
+		query, target := elems(qdata), elems(tdata)
+		want, werr := EvaluateSets(p, target, query)
+		c, err := Compile(p, query)
+		if !p.Valid() {
+			if !errors.Is(err, ErrInvalidPredicate) || !errors.Is(werr, ErrInvalidPredicate) {
+				t.Fatalf("%v: Compile err %v, EvaluateSets err %v; want ErrInvalidPredicate from both", p, err, werr)
+			}
+			return
+		}
+		if err != nil || werr != nil {
+			t.Fatalf("%v: Compile err %v, EvaluateSets err %v", p, err, werr)
+		}
+		if got := c.Match(target); got != want {
+			t.Fatalf("%v: Match(%q) = %v, EvaluateSets = %v (query %q)", p, tdata, got, want, qdata)
 		}
 	})
 }

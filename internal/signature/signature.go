@@ -284,6 +284,8 @@ func Matches(p Predicate, target, query *bitset.BitSet) (bool, error) {
 // EvaluateSets decides predicate p exactly on the underlying sets; this is
 // the false-drop resolution test. Elements are compared as raw strings.
 // An undefined predicate yields an error wrapping ErrInvalidPredicate.
+// Searches decide sets with Compile; this is the reference it is tested
+// against.
 func EvaluateSets(p Predicate, target, query []string) (bool, error) {
 	tset := make(map[string]struct{}, len(target))
 	for _, e := range target {
@@ -328,4 +330,94 @@ func EvaluateSets(p Predicate, target, query []string) (bool, error) {
 	default:
 		return false, fmt.Errorf("%w: %d", ErrInvalidPredicate, int(p))
 	}
+}
+
+// Compiled is a predicate with its query set preprocessed once, so that
+// the false-drop resolution test EvaluateSets performs can be decided
+// against many targets without building two hash maps per target. The
+// distinct query elements, in first-seen order, sit in one table built by
+// Compile; Match probes it once per target element. A Compiled is
+// immutable, so any number of goroutines may call Match concurrently.
+type Compiled struct {
+	pred  Predicate
+	elems []string
+	// pos maps each distinct query element to its index in elems.
+	pos map[string]int
+}
+
+// Compile preprocesses query for deciding p against many targets. An
+// undefined predicate yields an error wrapping ErrInvalidPredicate.
+func Compile(p Predicate, query []string) (*Compiled, error) {
+	if !p.Valid() {
+		return nil, fmt.Errorf("%w: %d", ErrInvalidPredicate, int(p))
+	}
+	c := &Compiled{pred: p, elems: make([]string, 0, len(query)), pos: make(map[string]int, len(query))}
+	for _, e := range query {
+		if _, dup := c.pos[e]; dup {
+			continue
+		}
+		c.pos[e] = len(c.elems)
+		c.elems = append(c.elems, e)
+	}
+	return c, nil
+}
+
+// Elems returns the distinct query elements in first-seen order — the
+// paper's query set, whose size is D_q. Callers must not modify it.
+func (c *Compiled) Elems() []string { return c.elems }
+
+// Match decides the compiled predicate exactly on target, which may hold
+// duplicates; it agrees with EvaluateSets on every input.
+func (c *Compiled) Match(target []string) bool {
+	switch c.pred {
+	case Subset:
+		for _, e := range target {
+			if _, ok := c.pos[e]; !ok {
+				return false
+			}
+		}
+		return true
+	case Overlap:
+		for _, e := range target {
+			if _, ok := c.pos[e]; ok {
+				return true
+			}
+		}
+		return false
+	default:
+		return c.covers(target, c.pred == Equals)
+	}
+}
+
+// covers reports whether target holds every query element (T ⊇ Q) and,
+// when exact, nothing else (T = Q). Distinct hits are counted in a bitmap
+// over query positions that lives on the stack — one word when D_q ≤ 64 —
+// and only a query of more than 512 elements puts it on the heap.
+func (c *Compiled) covers(target []string, exact bool) bool {
+	n := len(c.elems)
+	if len(target) < n {
+		return false
+	}
+	var stack [8]uint64
+	seen := stack[:]
+	if w := (n + 63) / 64; w > len(stack) {
+		seen = make([]uint64, w)
+	}
+	hits := 0
+	for _, e := range target {
+		i, ok := c.pos[e]
+		if !ok {
+			if exact {
+				return false
+			}
+			continue
+		}
+		if w, b := &seen[i/64], uint64(1)<<(i%64); *w&b == 0 {
+			*w |= b
+			if hits++; hits == n && !exact {
+				return true
+			}
+		}
+	}
+	return hits == n
 }
