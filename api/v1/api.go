@@ -117,8 +117,9 @@ type DeleteResponse struct{}
 // SearchOptions selects a retrieval strategy for one search. The zero
 // value lets the server's cost-based planner choose everything.
 type SearchOptions struct {
-	// Parallelism fans the search across up to this many goroutines on
-	// the server (0 = server default, negative = one per server CPU).
+	// Parallelism is accepted and ignored: every search runs on one
+	// goroutine. The field stays so older clients decode and the binary
+	// frame layout is unchanged.
 	Parallelism int `json:"parallelism,omitempty"`
 	// MaxProbeElements caps the probe on superset/contains searches (the
 	// paper's §5.1.3 smart retrieval); 0 lets the planner pick.

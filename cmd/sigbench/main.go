@@ -8,7 +8,7 @@
 //	sigbench                         # run every experiment (model only)
 //	sigbench -experiment fig8        # one artifact
 //	sigbench -measured -scale 8      # add measured columns at 1/8 scale
-//	sigbench -throughput -workers 8  # parallel-search QPS + p50/p99 (not a paper artifact)
+//	sigbench -throughput -workers 8  # concurrent-search QPS + p50/p99 (not a paper artifact)
 //	sigbench -throughput -shards 4   # K-way sharded vs unsharded QPS at the same worker count
 //	sigbench -metrics                # drift + planner checks + metrics dump; exits 1 on failure
 //	sigbench -list                   # enumerate experiment ids
@@ -49,11 +49,11 @@ func main() {
 		metrics       = flag.Bool("metrics", false, "run the cost-model drift check, dump the metrics registry, exit 1 on drift")
 		metricsFormat = flag.String("metrics-format", "prom", "metrics dump format: prom (Prometheus text) or json")
 
-		throughput = flag.Bool("throughput", false, "measure parallel-search QPS and latency percentiles instead of paper artifacts")
+		throughput = flag.Bool("throughput", false, "measure concurrent-search QPS and latency percentiles instead of paper artifacts")
 		facility   = flag.String("facility", "all", "throughput mode: ssf, bssf, nix, fssf or all")
 		objects    = flag.Int("objects", 8192, "throughput mode: objects indexed")
 		queries    = flag.Int("queries", 64, "throughput mode: distinct query shapes in the request mix")
-		workers    = flag.Int("workers", 4, "throughput mode: parallelism compared against workers=1")
+		workers    = flag.Int("workers", 4, "throughput mode: concurrent searchers compared against workers=1")
 		seconds    = flag.Int("seconds", 2, "throughput mode: wall-clock budget per point")
 		shards     = flag.Int("shards", 0, "throughput mode: compare a K-way sharded facility against the unsharded one at the same worker count")
 		mix        = flag.String("mix", "", "throughput mode: insert:search ratio (e.g. 4:1) — runs the write-heavy mixed workload, legacy vs LSM, instead of search QPS")

@@ -14,13 +14,13 @@ import (
 )
 
 // throughputConfig drives the -throughput mode: a serving-style QPS
-// measurement of the parallel search layer, outside the page-cost
-// experiments the rest of sigbench reproduces.
+// measurement of concurrent searches, outside the page-cost experiments
+// the rest of sigbench reproduces.
 type throughputConfig struct {
 	facility string // ssf | bssf | nix | fssf | all
 	n        int    // objects indexed
 	queries  int    // distinct request shapes in the measured mix
-	workers  int    // parallelism levels measured: 1 and this
+	workers  int    // concurrent searcher counts measured: 1 and this
 	seconds  int    // wall-clock budget per (facility, level)
 	shards   int    // when > 1, compare sharded (K=this) against unsharded at the same worker count
 	seed     int64
@@ -35,8 +35,8 @@ const (
 )
 
 // runThroughput indexes a synthetic instance per facility and reports
-// searches/second for batched Superset/Overlap queries at parallelism 1
-// and at the requested worker count.
+// searches/second for batched Superset/Overlap queries with one searcher
+// and with the requested number of concurrent searchers.
 func runThroughput(w io.Writer, cfg throughputConfig) error {
 	rng := rand.New(rand.NewSource(cfg.seed))
 	universe := make([]string, tpV)

@@ -1,6 +1,6 @@
 // Command sigload drives load against a sigfiled server and reports
 // QPS and latency percentiles in the shared benchfmt JSON schema, so
-// BENCH_server.json reads like BENCH_parallel.json and BENCH_lsm.json.
+// BENCH_server.json reads like BENCH_lsm.json and BENCH_shard.json.
 //
 // Workload shape matches cmd/sigbench's throughput mode: sets of ~8
 // elements drawn Zipf-ish from a 400-element universe, searches split

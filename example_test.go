@@ -107,9 +107,8 @@ func ExampleWithSmartRetrieval() {
 }
 
 // Horizontal sharding (DESIGN.md §16): WithShards hash-partitions the
-// OID space across K full facilities and scatter-gathers searches over
-// them — results are byte-identical to the unsharded facility at any K
-// and any parallelism.
+// OID space across K full facilities and searches them in shard order —
+// results are byte-identical to the unsharded facility at any K.
 func ExampleWithShards() {
 	sets := sigfile.MapSource{
 		1: {"Baseball", "Fishing"},
@@ -122,8 +121,7 @@ func ExampleWithShards() {
 	for oid := uint64(1); oid <= 3; oid++ {
 		idx.Insert(oid, sets[oid])
 	}
-	res, _ := idx.Search(sigfile.Superset, []string{"Baseball", "Fishing"},
-		sigfile.WithParallelism(4))
+	res, _ := idx.Search(sigfile.Superset, []string{"Baseball", "Fishing"})
 	sh := idx.(*sigfile.ShardedFacility)
 	fmt.Println(res.OIDs, sh.Shards())
 	// Output: [1 2] 4

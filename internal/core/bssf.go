@@ -195,44 +195,50 @@ func (b *bssfIndex) insert(oid uint64, elems []string) error {
 func (b *bssfIndex) delete(oid uint64, _ []string) error { return b.oid.delete(oid) }
 
 // foldSlices reads every slice in js and combines them — AND when and is
-// set, OR otherwise — into one accumulator over all n bit positions. Each
-// worker reads its block of js page by page into one buffer and folds the
-// page straight into its accumulator: a slice page is a word-aligned run
-// of positions (bitsPerSlicePage is a multiple of 64), so it combines
+// set, OR otherwise — into one accumulator over all n bit positions. It
+// reads each slice page by page into one buffer and folds the page
+// straight into the accumulator: a slice page is a word-aligned run of
+// positions (bitsPerSlicePage is a multiple of 64), so it combines
 // word-wise at its word offset and no set is built per slice.
 // Cancellation is checked before each page read.
-func (b *bssfIndex) foldSlices(ctx context.Context, js []int, and bool, workers int, stats *SearchStats) (*bitset.BitSet, error) {
-	return foldBits(ctx, b.n, len(js), and, workers, stats, func(lo, hi int, acc *bitset.BitSet, part *SearchStats) error {
-		buf := make([]byte, pagestore.PageSize)
-		for _, j := range js[lo:hi] {
-			part.SlicesRead++
-			for p := 0; p*bitsPerSlicePage < b.n; p++ {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				if err := b.slices[j].ReadPage(pagestore.PageID(p), buf); err != nil {
-					return fmt.Errorf("core: read slice %d page %d: %w", j, p, err)
-				}
-				part.IndexPages++
-				if and {
-					acc.AndWordsAt(p*bitsPerSlicePage/64, buf)
-				} else {
-					acc.OrWordsAt(p*bitsPerSlicePage/64, buf)
-				}
+func (b *bssfIndex) foldSlices(ctx context.Context, js []int, and bool, stats *SearchStats) (*bitset.BitSet, error) {
+	acc := newFoldAcc(b.n, and)
+	buf := make([]byte, pagestore.PageSize)
+	for _, j := range js {
+		stats.SlicesRead++
+		for p := 0; p*bitsPerSlicePage < b.n; p++ {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			if err := b.slices[j].ReadPage(pagestore.PageID(p), buf); err != nil {
+				return nil, fmt.Errorf("core: read slice %d page %d: %w", j, p, err)
+			}
+			stats.IndexPages++
+			if and {
+				acc.AndWordsAt(p*bitsPerSlicePage/64, buf)
+			} else {
+				acc.OrWordsAt(p*bitsPerSlicePage/64, buf)
 			}
 		}
-		return nil
-	})
+	}
+	return acc, nil
+}
+
+// newFoldAcc returns the nbits-bit accumulator of a slice or frame fold:
+// all ones for an AND fold, all zeros for an OR fold.
+func newFoldAcc(nbits int, and bool) *bitset.BitSet {
+	acc := bitset.New(nbits)
+	if and {
+		acc.Fill()
+	}
+	return acc
 }
 
 // candidates implements index following §4.2's per-query-type slice
 // selection, §5.1.3's probe cap (opts.MaxProbeElements) and §5.2.2's
-// zero-slice cap (opts.MaxZeroSlices). With opts.Parallelism > 1 the slice
-// list is cut into one block per worker (foldSlices); AND and OR are
-// commutative, so the candidate list is identical at any setting.
+// zero-slice cap (opts.MaxZeroSlices).
 func (b *bssfIndex) candidates(ctx context.Context, pred signature.Predicate, query []string, opts SearchOptions, stats *SearchStats, tr *obs.Trace) ([]uint64, error) {
 	qsig := b.scheme.SetSignatureStrings(probeElements(query, opts, pred))
-	workers := searchWorkers(opts)
 
 	phase := tr.Begin()
 	var candidateBits *bitset.BitSet
@@ -244,19 +250,19 @@ func (b *bssfIndex) candidates(ctx context.Context, pred signature.Predicate, qu
 		// system could stop early once the accumulator is empty; the
 		// paper's algorithm (and cost model) reads all m_q slices, so we
 		// do too to keep measured costs comparable.
-		candidateBits, err = b.foldSlices(ctx, qsig.Ones(), true, workers, stats)
+		candidateBits, err = b.foldSlices(ctx, qsig.Ones(), true, stats)
 	case signature.Subset:
-		candidateBits, err = b.orZerosComplement(ctx, qsig, opts.MaxZeroSlices, workers, stats)
+		candidateBits, err = b.orZerosComplement(ctx, qsig, opts.MaxZeroSlices, stats)
 	case signature.Overlap:
-		candidateBits, err = b.foldSlices(ctx, qsig.Ones(), false, workers, stats)
+		candidateBits, err = b.foldSlices(ctx, qsig.Ones(), false, stats)
 	case signature.Equals:
 		// Equality needs both conditions: 1s everywhere the query has 1s
 		// and 0s everywhere it has 0s.
 		var ones, zeros *bitset.BitSet
-		if ones, err = b.foldSlices(ctx, qsig.Ones(), true, workers, stats); err != nil {
+		if ones, err = b.foldSlices(ctx, qsig.Ones(), true, stats); err != nil {
 			return nil, err
 		}
-		if zeros, err = b.orZerosComplement(ctx, qsig, 0, workers, stats); err != nil {
+		if zeros, err = b.orZerosComplement(ctx, qsig, 0, stats); err != nil {
 			return nil, err
 		}
 		ones.And(zeros)
@@ -273,7 +279,7 @@ func (b *bssfIndex) candidates(ctx context.Context, pred signature.Predicate, qu
 	if err != nil {
 		return nil, err
 	}
-	stats.OIDPages = oidPages
+	stats.OIDPages += oidPages
 	tr.End(obs.PhaseOIDMap, phase, stats.OIDPages)
 	return candidates, nil
 }
@@ -285,12 +291,12 @@ func (b *bssfIndex) liveOIDs() ([]uint64, error) { return b.oid.liveOIDs() }
 // complements: surviving positions have 0 at every scanned zero slice —
 // the T ⊆ Q match condition. maxZero > 0 caps how many zero slices are
 // scanned (smart strategy; the filter stays sound, just weaker).
-func (b *bssfIndex) orZerosComplement(ctx context.Context, qsig *bitset.BitSet, maxZero, workers int, stats *SearchStats) (*bitset.BitSet, error) {
+func (b *bssfIndex) orZerosComplement(ctx context.Context, qsig *bitset.BitSet, maxZero int, stats *SearchStats) (*bitset.BitSet, error) {
 	zeros := qsig.Zeros()
 	if maxZero > 0 && len(zeros) > maxZero {
 		zeros = zeros[:maxZero]
 	}
-	acc, err := b.foldSlices(ctx, zeros, false, workers, stats)
+	acc, err := b.foldSlices(ctx, zeros, false, stats)
 	if err != nil {
 		return nil, err
 	}
@@ -316,7 +322,7 @@ func (b *bssfIndex) compact() error {
 	var st SearchStats // discarded; foldSlices wants stats
 	newCount := len(keep)
 	for j := range b.slices {
-		old, err := b.foldSlices(context.Background(), []int{j}, false, 1, &st)
+		old, err := b.foldSlices(context.Background(), []int{j}, false, &st)
 		if err != nil {
 			return err
 		}

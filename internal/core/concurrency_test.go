@@ -10,11 +10,11 @@ import (
 )
 
 // The stress tests below are written for the race detector: N reader
-// goroutines search (sequentially and in parallel) while one writer
-// inserts and deletes. They assert only invariants that hold at any
-// interleaving — every returned OID was inserted at some point, stats
-// are internally consistent — because the answer set legitimately
-// depends on when a search runs relative to the writer.
+// goroutines search while one writer inserts and deletes. They assert
+// only invariants that hold at any interleaving — every returned OID
+// was inserted at some point, stats are internally consistent — because
+// the answer set legitimately depends on when a search runs relative to
+// the writer.
 
 // stressSource is a SetSource covering both the initially-loaded OIDs
 // and every OID the writer will insert, so resolution never fails no
@@ -85,9 +85,7 @@ func stressFacility(t *testing.T, am AccessMethod, sets MapSource, queries [][]s
 			for i := 0; i < searchesPerReader; i++ {
 				pred := preds[(r+i)%len(preds)]
 				q := queries[(r*searchesPerReader+i)%len(queries)]
-				// Alternate sequential and parallel searches so both
-				// paths run against the writer.
-				res, err := am.Search(pred, q, WithParallelism(1+3*(i%2)))
+				res, err := am.Search(pred, q)
 				if err != nil {
 					t.Errorf("%s reader %d search: %v", am.Name(), r, err)
 					return
@@ -160,7 +158,7 @@ func TestConcurrentSearchMany(t *testing.T) {
 	var reqs []SearchRequest
 	for _, pred := range allPredicates {
 		for _, q := range queries {
-			reqs = append(reqs, SearchRequest{Pred: pred, Query: q, Opts: []SearchOption{WithParallelism(2)}})
+			reqs = append(reqs, SearchRequest{Pred: pred, Query: q})
 		}
 	}
 	var wg sync.WaitGroup
@@ -179,7 +177,7 @@ func TestConcurrentSearchMany(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := SearchMany(am, reqs, 4); err != nil {
+			if _, err := SearchMany(am, reqs); err != nil {
 				t.Errorf("SearchMany: %v", err)
 			}
 		}()

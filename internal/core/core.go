@@ -103,10 +103,10 @@ type Result struct {
 
 // SearchOptions is the resolved form of a SearchOption list: the struct
 // the facilities consume internally after Search/SearchContext fold their
-// functional options (WithParallelism, WithSmartRetrieval, WithTrace, ...)
-// into one value. Callers configure searches exclusively through the
-// option functions; this struct is exported so they can inspect the
-// resolved strategy, not to be passed positionally.
+// functional options (WithSmartRetrieval, WithTrace, ...) into one value.
+// Callers configure searches exclusively through the option functions;
+// this struct is exported so they can inspect the resolved strategy, not
+// to be passed positionally.
 type SearchOptions struct {
 	// MaxProbeElements, when positive, limits how many query elements are
 	// used to form the probe (the query signature for SSF/BSSF, the index
@@ -120,14 +120,6 @@ type SearchOptions struct {
 	// T ⊆ Q (§5.2.2). Zero means "read all F − m_q zero slices". Other
 	// access methods ignore it.
 	MaxZeroSlices int
-	// Parallelism fans the search across up to this many goroutines: the
-	// SSF scan is sharded into page segments, BSSF slice reads and the
-	// AND/OR combine run on a worker pool, NIX posting lookups proceed
-	// concurrently, and false-drop resolution fetches objects in
-	// parallel. 0 or 1 means sequential (the default); negative means one
-	// worker per CPU. The result — OIDs and every Stats field — is
-	// identical at any setting.
-	Parallelism int
 	// Smart asks the facility to derive its own probe caps — the paper's
 	// smart object retrieval without hand-tuned constants. Explicit
 	// MaxProbeElements/MaxZeroSlices values take precedence; SSF ignores
@@ -159,8 +151,8 @@ type AccessMethod interface {
 	// context.Background().
 	Search(pred signature.Predicate, query []string, opts ...SearchOption) (*Result, error)
 	// SearchContext is Search with a context and functional options: the
-	// search honors ctx cancellation/deadline at page-scan and
-	// worker-task boundaries (returning an error satisfying
+	// search honors ctx cancellation/deadline before every page read and
+	// candidate fetch (returning an error satisfying
 	// errors.Is(err, ctx.Err()) without corrupting facility state), and a
 	// trace sink — from WithTrace or obs.ContextWithSink — receives the
 	// search's phase decomposition.
@@ -206,27 +198,24 @@ func probeElements(query []string, opts SearchOptions, pred signature.Predicate)
 }
 
 // verifyCandidates resolves each candidate OID against the compiled
-// predicate on up to workers goroutines, updating stats, and returns the
-// qualifying OIDs in ascending order. It filters candidates in place — the
-// shell owns the slice — by overwriting each rejected slot with the
-// reserved OID 0 and compacting afterwards; each verdict lands in its own
-// slot, so the result set and every stats field are independent of worker
-// count. On error the stats are unreliable and the caller must discard
-// them, which also means a partial fetch count need not be reported.
-func verifyCandidates(ctx context.Context, src SetSource, match *signature.Compiled, candidates []uint64, stats *SearchStats, workers int) ([]uint64, error) {
-	err := forEachTask(ctx, workers, len(candidates), func(i int) error {
-		oid := candidates[i]
+// predicate, updating stats, and returns the qualifying OIDs in ascending
+// order. It filters candidates in place — the shell owns the slice — by
+// overwriting each rejected slot with the reserved OID 0 and compacting
+// afterwards. Cancellation is checked before each fetch. On error the
+// stats are unreliable and the caller must discard them, which also means
+// a partial fetch count need not be reported.
+func verifyCandidates(ctx context.Context, src SetSource, match *signature.Compiled, candidates []uint64, stats *SearchStats) ([]uint64, error) {
+	for i, oid := range candidates {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		target, err := src.Set(oid)
 		if err != nil {
-			return fmt.Errorf("core: resolve OID %d: %w", oid, err)
+			return nil, fmt.Errorf("core: resolve OID %d: %w", oid, err)
 		}
 		if !match.Match(target) {
 			candidates[i] = 0
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	stats.ObjectFetches += int64(len(candidates))
 	stats.Candidates = len(candidates)

@@ -216,21 +216,6 @@ func (h *diffHarness) doSearch(t *testing.T, rng *rand.Rand) {
 	}
 	checkStats(t, "legacy", legacyRes)
 	checkStats(t, "lsm", lsmRes)
-	// A parallel LSM search must be byte-identical — OIDs and Stats — to
-	// the sequential one.
-	if rng.Intn(4) == 0 {
-		po := append(append([]SearchOption{}, opts...), WithParallelism(4))
-		par, err := h.lsm.Search(pred, query, po...)
-		if err != nil {
-			t.Fatalf("lsm parallel search: %v", err)
-		}
-		if !equalOIDs(par.OIDs, lsmRes.OIDs) {
-			t.Fatalf("lsm parallel OIDs diverge: %v vs %v", par.OIDs, lsmRes.OIDs)
-		}
-		if par.Stats != lsmRes.Stats {
-			t.Fatalf("lsm parallel stats diverge: %+v vs %+v", par.Stats, lsmRes.Stats)
-		}
-	}
 }
 
 // TestDifferentialLSM runs diffSchedulesPerKind seeded schedules against

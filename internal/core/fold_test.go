@@ -13,7 +13,7 @@ import (
 )
 
 // This file pins the streaming fold of the bit-sliced searches
-// (foldBits / foldSlices / frameMask) three ways: against a reference
+// (foldSlices / frameMask) three ways: against a reference
 // that still builds one BitSet per slice, against a literal allocation
 // budget, and under cancellation.
 
@@ -174,7 +174,7 @@ func refFSSF(t *testing.T, f *fssfIndex, pred signature.Predicate, query []strin
 }
 
 // TestFoldMatchesPerSliceReference: for BSSF and FSSF, every predicate,
-// Parallelism 1/2/4/−1, object counts that leave a ragged last word, fill
+// object counts that leave a ragged last word, fill
 // a slice page exactly ±1 and span several pages, with and without the
 // probe and zero-slice caps, Search returns exactly the OIDs and exactly
 // the SearchStats — every field — that the per-slice reference predicts.
@@ -191,9 +191,9 @@ func TestFoldMatchesPerSliceReference(t *testing.T) {
 	}
 	sizes := []int{100, 32767, 32769, 70000}
 	if raceEnabled {
-		// What -race looks for — workers sharing an accumulator, a buffer
-		// or a count — does not depend on N; the instrumented run keeps
-		// one single-page and one multi-page instance.
+		// The fold runs on the search's goroutine, so -race has nothing
+		// here that depends on N; the instrumented run keeps one
+		// single-page and one multi-page instance.
 		sizes = []int{100, 32769}
 	}
 	for _, n := range sizes {
@@ -281,17 +281,15 @@ func TestFoldMatchesPerSliceReference(t *testing.T) {
 						if c.opts == nil && !sameOIDs(wantOIDs, bruteForce(live, pred, query)) {
 							t.Fatalf("%s: the reference itself misses answers", label)
 						}
-						for _, par := range []int{1, 2, 4, -1} {
-							got, err := k.am.Search(pred, query, append([]SearchOption{WithParallelism(par)}, c.opts...)...)
-							if err != nil {
-								t.Fatalf("%s P=%d: %v", label, par, err)
-							}
-							if !sameOIDs(wantOIDs, got.OIDs) {
-								t.Errorf("%s P=%d: %d OIDs, reference has %d", label, par, len(got.OIDs), len(wantOIDs))
-							}
-							if got.Stats != want {
-								t.Errorf("%s P=%d: stats %+v, reference %+v", label, par, got.Stats, want)
-							}
+						got, err := k.am.Search(pred, query, c.opts...)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						if !sameOIDs(wantOIDs, got.OIDs) {
+							t.Errorf("%s: %d OIDs, reference has %d", label, len(got.OIDs), len(wantOIDs))
+						}
+						if got.Stats != want {
+							t.Errorf("%s: stats %+v, reference %+v", label, got.Stats, want)
 						}
 					}
 				}
@@ -301,39 +299,37 @@ func TestFoldMatchesPerSliceReference(t *testing.T) {
 }
 
 // TestBSSFFoldCancel: a cancellation landing between two slice-page reads
-// of the fold surfaces as ctx.Err() at Parallelism 1 and 4, and the
-// facility answers exactly afterwards. (fssf_cancel_test.go is the FSSF
+// of the fold surfaces as ctx.Err(), and the facility answers exactly
+// afterwards. (fssf_cancel_test.go is the FSSF
 // counterpart.)
 func TestBSSFFoldCancel(t *testing.T) {
 	const n, dt, v = 300, 5, 40
 	sets, entries, universe := foldCorpus(n, dt, v, 78)
 	query := universe[:20]
 	want := bruteForce(sets, signature.Subset, query)
-	for _, par := range []int{1, 4} {
-		store := &cancelStore{inner: pagestore.NewMemStore()}
-		store.disarm() // construction and inserts read pages too
-		bssf, err := NewBSSF(signature.MustNew(120, 3), MapSource(sets), store)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := bssf.InsertBatch(entries); err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		store.arm(cancel, 7) // T ⊆ Q reads ≈ 80 zero slices; the 7th read is mid-fold
-		_, err = bssf.SearchContext(ctx, signature.Subset, query, WithParallelism(par))
-		cancel()
-		if !errors.Is(err, ctx.Err()) {
-			t.Errorf("P=%d mid-fold cancel: err = %v, want errors.Is(err, %v)", par, err, ctx.Err())
-		}
-		store.disarm()
-		res, err := bssf.SearchContext(context.Background(), signature.Subset, query, WithParallelism(par))
-		if err != nil {
-			t.Fatalf("P=%d after cancel: %v", par, err)
-		}
-		if !sameOIDs(want, res.OIDs) {
-			t.Errorf("P=%d after cancel: got %v want %v", par, res.OIDs, want)
-		}
+	store := &cancelStore{inner: pagestore.NewMemStore()}
+	store.disarm() // construction and inserts read pages too
+	bssf, err := NewBSSF(signature.MustNew(120, 3), MapSource(sets), store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bssf.InsertBatch(entries); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	store.arm(cancel, 7) // T ⊆ Q reads ≈ 80 zero slices; the 7th read is mid-fold
+	_, err = bssf.SearchContext(ctx, signature.Subset, query)
+	cancel()
+	if !errors.Is(err, ctx.Err()) {
+		t.Errorf("mid-fold cancel: err = %v, want errors.Is(err, %v)", err, ctx.Err())
+	}
+	store.disarm()
+	res, err := bssf.SearchContext(context.Background(), signature.Subset, query)
+	if err != nil {
+		t.Fatalf("after cancel: %v", err)
+	}
+	if !sameOIDs(want, res.OIDs) {
+		t.Errorf("after cancel: got %v want %v", res.OIDs, want)
 	}
 }
 

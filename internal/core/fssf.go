@@ -201,52 +201,47 @@ func (f *fssfIndex) scanFrame(ctx context.Context, j int, buf []byte, rec *bitse
 
 // frameMask scans every frame in js and returns the positions whose record
 // pass reported qualifying in every scanned frame (and) or in at least one
-// (or). Each worker scans its block of js with one page buffer and one
-// scratch record, clearing (and) or setting (or) bits in its own mask as
-// records fail or qualify; foldBits combines the worker masks and counts
-// in worker order, so the result matches a sequential pass.
-func (f *fssfIndex) frameMask(ctx context.Context, js []int, and bool, workers int, stats *SearchStats, pass func(j int, rec *bitset.BitSet) bool) (*bitset.BitSet, error) {
-	return foldBits(ctx, f.n, len(js), and, workers, stats, func(lo, hi int, mask *bitset.BitSet, part *SearchStats) error {
-		buf := make([]byte, pagestore.PageSize)
-		scratch := bitset.New(f.scheme.S())
-		for _, j := range js[lo:hi] {
-			err := f.scanFrame(ctx, j, buf, scratch, part, func(idx int, rec *bitset.BitSet) {
-				switch ok := pass(j, rec); {
-				case and && !ok:
-					mask.Clear(idx)
-				case !and && ok:
-					mask.Set(idx)
-				}
-			})
-			if err != nil {
-				return err
+// (or). It scans the frames with one page buffer and one scratch record,
+// clearing (and) or setting (or) bits of one mask as records fail or
+// qualify.
+func (f *fssfIndex) frameMask(ctx context.Context, js []int, and bool, stats *SearchStats, pass func(j int, rec *bitset.BitSet) bool) (*bitset.BitSet, error) {
+	mask := newFoldAcc(f.n, and)
+	buf := make([]byte, pagestore.PageSize)
+	scratch := bitset.New(f.scheme.S())
+	for _, j := range js {
+		err := f.scanFrame(ctx, j, buf, scratch, stats, func(idx int, rec *bitset.BitSet) {
+			switch ok := pass(j, rec); {
+			case and && !ok:
+				mask.Clear(idx)
+			case !and && ok:
+				mask.Set(idx)
 			}
+		})
+		if err != nil {
+			return nil, err
 		}
-		return nil
-	})
+	}
+	return mask, nil
 }
 
-// candidates implements index. With opts.Parallelism > 1 the frame list
-// is cut into one block per worker, each folding its frames into one
-// qualifying mask (frameMask); intersection and union are commutative, so
-// the candidate list is identical at any setting. A probe cap reads fewer
-// frame files on T ⊇ Q à la §5.1.3.
+// candidates implements index: each predicate folds its frames into one
+// qualifying mask (frameMask). A probe cap reads fewer frame files on
+// T ⊇ Q à la §5.1.3.
 func (f *fssfIndex) candidates(ctx context.Context, pred signature.Predicate, query []string, opts SearchOptions, stats *SearchStats, tr *obs.Trace) ([]uint64, error) {
 	probe := probeElements(query, opts, pred)
-	workers := searchWorkers(opts)
 
 	phase := tr.Begin()
 	var candidateBits *bitset.BitSet
 	var err error
 	switch pred {
 	case signature.Superset, signature.Contains:
-		candidateBits, err = f.supersetCandidates(ctx, probe, workers, stats)
+		candidateBits, err = f.supersetCandidates(ctx, probe, stats)
 	case signature.Subset:
-		candidateBits, err = f.subsetCandidates(ctx, query, workers, stats)
+		candidateBits, err = f.subsetCandidates(ctx, query, stats)
 	case signature.Overlap:
-		candidateBits, err = f.overlapCandidates(ctx, query, workers, stats)
+		candidateBits, err = f.overlapCandidates(ctx, query, stats)
 	case signature.Equals:
-		candidateBits, err = f.equalsCandidates(ctx, query, workers, stats)
+		candidateBits, err = f.equalsCandidates(ctx, query, stats)
 	}
 	if err != nil {
 		return nil, err
@@ -258,7 +253,7 @@ func (f *fssfIndex) candidates(ctx context.Context, pred signature.Predicate, qu
 	if err != nil {
 		return nil, err
 	}
-	stats.OIDPages = oidPages
+	stats.OIDPages += oidPages
 	tr.End(obs.PhaseOIDMap, phase, stats.OIDPages)
 	return candidates, nil
 }
@@ -269,7 +264,7 @@ func (f *fssfIndex) liveOIDs() ([]uint64, error) { return f.oid.liveOIDs() }
 // supersetCandidates reads only the frames the probe elements hash to:
 // a target qualifies if, in every touched frame, its frame content
 // covers the union of the probe elements' bits there.
-func (f *fssfIndex) supersetCandidates(ctx context.Context, probe []string, workers int, stats *SearchStats) (*bitset.BitSet, error) {
+func (f *fssfIndex) supersetCandidates(ctx context.Context, probe []string, stats *SearchStats) (*bitset.BitSet, error) {
 	need := make(map[int]*bitset.BitSet)
 	for _, e := range probe {
 		frame, bits := f.scheme.ElementFrame([]byte(e))
@@ -280,14 +275,14 @@ func (f *fssfIndex) supersetCandidates(ctx context.Context, probe []string, work
 			need[frame].Set(b)
 		}
 	}
-	return f.frameMask(ctx, sortedKeys(need), true, workers, stats, func(j int, rec *bitset.BitSet) bool {
+	return f.frameMask(ctx, sortedKeys(need), true, stats, func(j int, rec *bitset.BitSet) bool {
 		return rec.ContainsAll(need[j])
 	})
 }
 
 // subsetCandidates reads every frame: a target qualifies if each of its
 // frame contents is contained in the query's.
-func (f *fssfIndex) subsetCandidates(ctx context.Context, query []string, workers int, stats *SearchStats) (*bitset.BitSet, error) {
+func (f *fssfIndex) subsetCandidates(ctx context.Context, query []string, stats *SearchStats) (*bitset.BitSet, error) {
 	qsig := f.scheme.SetSignature(query)
 	empty := bitset.New(f.scheme.S())
 	qframe := func(j int) *bitset.BitSet {
@@ -296,14 +291,14 @@ func (f *fssfIndex) subsetCandidates(ctx context.Context, query []string, worker
 		}
 		return empty
 	}
-	return f.frameMask(ctx, allFrames(f.scheme.K()), true, workers, stats, func(j int, rec *bitset.BitSet) bool {
+	return f.frameMask(ctx, allFrames(f.scheme.K()), true, stats, func(j int, rec *bitset.BitSet) bool {
 		return rec.SubsetOf(qframe(j))
 	})
 }
 
 // overlapCandidates marks targets whose frame contains all bits of at
 // least one query element — a finer filter than bit-level intersection.
-func (f *fssfIndex) overlapCandidates(ctx context.Context, query []string, workers int, stats *SearchStats) (*bitset.BitSet, error) {
+func (f *fssfIndex) overlapCandidates(ctx context.Context, query []string, stats *SearchStats) (*bitset.BitSet, error) {
 	perFrame := make(map[int][]*bitset.BitSet)
 	for _, e := range query {
 		frame, bits := f.scheme.ElementFrame([]byte(e))
@@ -313,7 +308,7 @@ func (f *fssfIndex) overlapCandidates(ctx context.Context, query []string, worke
 		}
 		perFrame[frame] = append(perFrame[frame], eb)
 	}
-	return f.frameMask(ctx, sortedKeys(perFrame), false, workers, stats, func(j int, rec *bitset.BitSet) bool {
+	return f.frameMask(ctx, sortedKeys(perFrame), false, stats, func(j int, rec *bitset.BitSet) bool {
 		for _, eb := range perFrame[j] {
 			if rec.ContainsAll(eb) {
 				return true
@@ -325,7 +320,7 @@ func (f *fssfIndex) overlapCandidates(ctx context.Context, query []string, worke
 
 // equalsCandidates reads every frame: the target's frame content must
 // equal the query signature's in each frame.
-func (f *fssfIndex) equalsCandidates(ctx context.Context, query []string, workers int, stats *SearchStats) (*bitset.BitSet, error) {
+func (f *fssfIndex) equalsCandidates(ctx context.Context, query []string, stats *SearchStats) (*bitset.BitSet, error) {
 	qsig := f.scheme.SetSignature(query)
 	empty := bitset.New(f.scheme.S())
 	qframe := func(j int) *bitset.BitSet {
@@ -334,7 +329,7 @@ func (f *fssfIndex) equalsCandidates(ctx context.Context, query []string, worker
 		}
 		return empty
 	}
-	return f.frameMask(ctx, allFrames(f.scheme.K()), true, workers, stats, func(j int, rec *bitset.BitSet) bool {
+	return f.frameMask(ctx, allFrames(f.scheme.K()), true, stats, func(j int, rec *bitset.BitSet) bool {
 		return rec.Equal(qframe(j))
 	})
 }

@@ -55,9 +55,8 @@ func (f *cancelFile) ReadPage(id pagestore.PageID, buf []byte) error {
 }
 
 // TestFSSFScanFrameCancel: a cancellation that lands mid-frame-scan
-// stops the search with an error matching ctx.Err(), sequentially and
-// with the frame scans fanned across 8 workers, and the facility stays
-// fully usable afterward.
+// stops the search with an error matching ctx.Err(), and the facility
+// stays fully usable afterward.
 func TestFSSFScanFrameCancel(t *testing.T) {
 	const n, dt, v = 300, 5, 40
 	rng := rand.New(rand.NewSource(77))
@@ -77,39 +76,37 @@ func TestFSSFScanFrameCancel(t *testing.T) {
 	query := []string{universe[1], universe[2]}
 	want := bruteForce(sets, signature.Overlap, query)
 
-	for _, par := range []int{1, 8} {
-		store := &cancelStore{inner: pagestore.NewMemStore()}
-		// S=1024 bits = 128 bytes per record = 32 records per page, so
-		// each frame file spans ~10 pages and the cancellation lands
-		// inside scanFrame's page loop, not between frames.
-		fssf, err := NewFSSF(signature.MustFrameScheme(8, 1024, 3), MapSource(sets), store)
-		if err != nil {
-			t.Fatal(err)
+	store := &cancelStore{inner: pagestore.NewMemStore()}
+	// S=1024 bits = 128 bytes per record = 32 records per page, so
+	// each frame file spans ~10 pages and the cancellation lands
+	// inside scanFrame's page loop, not between frames.
+	fssf, err := NewFSSF(signature.MustFrameScheme(8, 1024, 3), MapSource(sets), store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.disarm() // inserts read pages too; only the search may trip
+	for oid := uint64(1); oid <= uint64(n); oid++ {
+		if err := fssf.Insert(oid, sets[oid]); err != nil {
+			t.Fatalf("insert %d: %v", oid, err)
 		}
-		store.disarm() // inserts read pages too; only the search may trip
-		for oid := uint64(1); oid <= uint64(n); oid++ {
-			if err := fssf.Insert(oid, sets[oid]); err != nil {
-				t.Fatalf("insert %d: %v", oid, err)
-			}
-		}
+	}
 
-		ctx, cancel := context.WithCancel(context.Background())
-		store.arm(cancel, 2)
-		_, err = fssf.SearchContext(ctx, signature.Overlap, query, WithParallelism(par))
-		cancel()
-		if !errors.Is(err, ctx.Err()) {
-			t.Errorf("P=%d scan-frame cancel: err = %v, want errors.Is(err, %v)", par, err, ctx.Err())
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	store.arm(cancel, 2)
+	_, err = fssf.SearchContext(ctx, signature.Overlap, query)
+	cancel()
+	if !errors.Is(err, ctx.Err()) {
+		t.Errorf("scan-frame cancel: err = %v, want errors.Is(err, %v)", err, ctx.Err())
+	}
 
-		// Disarm and search again: the aborted scan must not have left
-		// partial state behind.
-		store.disarm()
-		res, err := fssf.SearchContext(context.Background(), signature.Overlap, query, WithParallelism(par))
-		if err != nil {
-			t.Fatalf("P=%d after cancel: %v", par, err)
-		}
-		if !sameOIDs(want, res.OIDs) {
-			t.Errorf("P=%d after cancel: got %v want %v", par, res.OIDs, want)
-		}
+	// Disarm and search again: the aborted scan must not have left
+	// partial state behind.
+	store.disarm()
+	res, err := fssf.SearchContext(context.Background(), signature.Overlap, query)
+	if err != nil {
+		t.Fatalf("after cancel: %v", err)
+	}
+	if !sameOIDs(want, res.OIDs) {
+		t.Errorf("after cancel: got %v want %v", res.OIDs, want)
 	}
 }

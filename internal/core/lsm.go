@@ -19,11 +19,11 @@ import (
 // scan, and an insert costs one log-page write amortized against the
 // batched segment build — the paper's Table 7 F+1 wall for BSSF falls.
 //
-// A search scatter-gathers across the memtable and every segment and
-// resolves candidates in one verification pass. The authoritative
-// liveness map (where) assigns each live OID to exactly one location, so
-// the per-segment candidate lists are disjoint and results are
-// byte-identical to the legacy path at any parallelism.
+// A search gathers candidates from every segment and the memtable and
+// resolves them in one verification pass. The authoritative liveness map
+// (where) assigns each live OID to exactly one location, so the
+// per-segment candidate lists are disjoint and results are
+// byte-identical to the legacy path.
 //
 // An LSM is safe for concurrent use under the same shell as the
 // facilities it wraps: searches share the lock, updates (and flush and
@@ -329,29 +329,27 @@ func (l *lsmIndex) writeManifestLocked() error {
 	return writeManifest(l.manifest, man)
 }
 
-// candidates implements index: the search scatter-gathers across every
-// sealed segment and the memtable, leaving all candidates to the shell's
-// one verification pass. The caps in opts were pinned from the total
-// live count, so every segment applies the same filter strength.
+// candidates implements index: the search visits every sealed segment in
+// order, then the memtable, leaving all candidates to the shell's one
+// verification pass. The caps in opts were pinned from the total live
+// count, so every segment applies the same filter strength.
 func (l *lsmIndex) candidates(ctx context.Context, pred signature.Predicate, query []string, opts SearchOptions, stats *SearchStats, tr *obs.Trace) ([]uint64, error) {
-	// Index phase: every segment's candidate scan, fanned across the
-	// worker pool and gathered in segment order — deterministic at any
-	// parallelism.
+	// Index phase: every segment's candidate scan, each adding its page
+	// counts to stats.
 	phase := tr.Begin()
-	segCands, err := scatter(ctx, searchWorkers(opts), len(l.segs), stats, func(i int, part *SearchStats) ([]uint64, error) {
-		seg := l.segs[i]
-		cands, err := seg.inner.segmentCandidates(ctx, pred, query, opts, part)
+	var candidates []uint64
+	for _, seg := range l.segs {
+		cands, err := seg.inner.segmentCandidates(ctx, pred, query, opts, stats)
 		if err != nil {
 			return nil, fmt.Errorf("core: lsm segment %d search: %w", seg.id, err)
 		}
 		// Keep only candidates this segment still owns: an OID deleted or
 		// re-inserted later resolves elsewhere (or nowhere), and the
-		// disjointness of the kept lists is what makes the final gather a
-		// plain concatenation.
-		kept := cands[:0]
+		// disjointness of the kept lists is what makes the gather a plain
+		// concatenation.
 		for _, oid := range cands {
 			if loc, ok := l.where[oid]; ok && loc.seg == seg.id && !loc.empty {
-				kept = append(kept, oid)
+				candidates = append(candidates, oid)
 			}
 		}
 		// Empty sets live only in segment metadata. They are candidates
@@ -361,14 +359,10 @@ func (l *lsmIndex) candidates(ctx context.Context, pred signature.Predicate, que
 		if pred == signature.Subset || len(query) == 0 {
 			for _, oid := range seg.meta.Empties {
 				if loc, ok := l.where[oid]; ok && loc.seg == seg.id && loc.empty {
-					kept = append(kept, oid)
+					candidates = append(candidates, oid)
 				}
 			}
 		}
-		return kept, nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	tr.End(obs.PhaseIndexScan, phase, stats.IndexPages)
 
@@ -379,10 +373,6 @@ func (l *lsmIndex) candidates(ctx context.Context, pred signature.Predicate, que
 	memCands, err := l.mem.candidates(pred, query)
 	if err != nil {
 		return nil, err
-	}
-	candidates := make([]uint64, 0, len(memCands))
-	for _, c := range segCands {
-		candidates = append(candidates, c...)
 	}
 	candidates = append(candidates, memCands...)
 	tr.End(obs.PhaseOIDMap, phase, stats.OIDPages)

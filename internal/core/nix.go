@@ -141,27 +141,23 @@ func (n *nixIndex) delete(oid uint64, elems []string) error {
 	return nil
 }
 
-// candidates implements index. With opts.Parallelism > 1 the probe
-// lookups fan across a worker pool; each lookup counts its own tree pages
-// (btree.LookupPages), so IndexPages is exact and identical at any worker
-// count.
+// candidates implements index. Each probe lookup counts the tree pages
+// it touched (btree.LookupPages) into IndexPages.
 func (n *nixIndex) candidates(ctx context.Context, pred signature.Predicate, query []string, opts SearchOptions, stats *SearchStats, tr *obs.Trace) ([]uint64, error) {
 	probe := probeElements(query, opts, pred)
 
-	// Look up the probe elements, each lookup counting the tree pages it
-	// touched into its own slot; the slots sum to exactly the sequential
-	// page count.
 	phase := tr.Begin()
-	postings, err := scatter(ctx, searchWorkers(opts), len(probe), stats, func(i int, part *SearchStats) ([]uint64, error) {
-		oids, np, err := n.tree.LookupPages([]byte(probe[i]))
-		if err != nil {
-			return nil, fmt.Errorf("core: NIX lookup %q: %w", probe[i], err)
+	postings := make([][]uint64, len(probe))
+	for i, e := range probe {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		part.IndexPages = np
-		return oids, nil
-	})
-	if err != nil {
-		return nil, err
+		oids, np, err := n.tree.LookupPages([]byte(e))
+		if err != nil {
+			return nil, fmt.Errorf("core: NIX lookup %q: %w", e, err)
+		}
+		stats.IndexPages += np
+		postings[i] = oids
 	}
 	tr.End(obs.PhaseIndexScan, phase, stats.IndexPages)
 

@@ -92,9 +92,9 @@ func TestTraceContextSink(t *testing.T) {
 }
 
 // TestSearchContextPreCanceled: a canceled context fails fast at the
-// first page-scan or worker-task boundary with ctx.Err(), for every
-// facility at P=1 and P=8, and the facility answers the identical search
-// correctly immediately afterwards (no corrupted state).
+// first page read or candidate fetch with ctx.Err(), for every facility,
+// and the facility answers the identical search correctly immediately
+// afterwards (no corrupted state).
 func TestSearchContextPreCanceled(t *testing.T) {
 	const n, dt, v = 200, 5, 40
 	fixtures := allFixtures(t, n, dt, v, 81)
@@ -103,19 +103,17 @@ func TestSearchContextPreCanceled(t *testing.T) {
 	query := []string{"elem-00001", "elem-00002"}
 	for _, f := range fixtures {
 		for _, pred := range allPredicates {
-			for _, par := range []int{1, 8} {
-				_, err := f.am.SearchContext(ctx, pred, query, WithParallelism(par))
-				if !errors.Is(err, context.Canceled) {
-					t.Errorf("%s %v P=%d: err = %v, want context.Canceled", f.am.Name(), pred, par, err)
-				}
-				// The same search on a live context must still be exact.
-				res, err := f.am.SearchContext(context.Background(), pred, query, WithParallelism(par))
-				if err != nil {
-					t.Fatalf("%s %v P=%d after cancel: %v", f.am.Name(), pred, par, err)
-				}
-				if want := bruteForce(f.sets, pred, query); !sameOIDs(want, res.OIDs) {
-					t.Errorf("%s %v P=%d after cancel: got %v want %v", f.am.Name(), pred, par, res.OIDs, want)
-				}
+			_, err := f.am.SearchContext(ctx, pred, query)
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("%s %v: err = %v, want context.Canceled", f.am.Name(), pred, err)
+			}
+			// The same search on a live context must still be exact.
+			res, err := f.am.SearchContext(context.Background(), pred, query)
+			if err != nil {
+				t.Fatalf("%s %v after cancel: %v", f.am.Name(), pred, err)
+			}
+			if want := bruteForce(f.sets, pred, query); !sameOIDs(want, res.OIDs) {
+				t.Errorf("%s %v after cancel: got %v want %v", f.am.Name(), pred, res.OIDs, want)
 			}
 		}
 	}
@@ -165,33 +163,31 @@ func TestSearchContextCancelMidSearch(t *testing.T) {
 	// has plenty of Set calls for the trigger to land inside.
 	query := []string{"elem-00001", "elem-00002"}
 	for _, b := range builders {
-		for _, par := range []int{1, 8} {
-			am, err := b.make()
-			if err != nil {
-				t.Fatal(err)
+		am, err := b.make()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for oid := uint64(1); oid <= uint64(n); oid++ {
+			if err := am.Insert(oid, sets[oid]); err != nil {
+				t.Fatalf("%s insert %d: %v", b.name, oid, err)
 			}
-			for oid := uint64(1); oid <= uint64(n); oid++ {
-				if err := am.Insert(oid, sets[oid]); err != nil {
-					t.Fatalf("%s insert %d: %v", b.name, oid, err)
-				}
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			src.cancel = cancel
-			src.left.Store(3)
-			_, err = am.SearchContext(ctx, signature.Overlap, query, WithParallelism(par))
-			cancel()
-			if !errors.Is(err, context.Canceled) {
-				t.Errorf("%s P=%d mid-search cancel: err = %v, want context.Canceled", b.name, par, err)
-			}
-			// Disarm the trigger and re-run: exact answer, clean state.
-			src.left.Store(-1 << 20)
-			res, err := am.SearchContext(context.Background(), signature.Overlap, query, WithParallelism(par))
-			if err != nil {
-				t.Fatalf("%s P=%d after mid-search cancel: %v", b.name, par, err)
-			}
-			if want := bruteForce(sets, signature.Overlap, query); !sameOIDs(want, res.OIDs) {
-				t.Errorf("%s P=%d after mid-search cancel: got %v want %v", b.name, par, res.OIDs, want)
-			}
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		src.cancel = cancel
+		src.left.Store(3)
+		_, err = am.SearchContext(ctx, signature.Overlap, query)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s mid-search cancel: err = %v, want context.Canceled", b.name, err)
+		}
+		// Disarm the trigger and re-run: exact answer, clean state.
+		src.left.Store(-1 << 20)
+		res, err := am.SearchContext(context.Background(), signature.Overlap, query)
+		if err != nil {
+			t.Fatalf("%s after mid-search cancel: %v", b.name, err)
+		}
+		if want := bruteForce(sets, signature.Overlap, query); !sameOIDs(want, res.OIDs) {
+			t.Errorf("%s after mid-search cancel: got %v want %v", b.name, res.OIDs, want)
 		}
 	}
 }
@@ -209,12 +205,12 @@ func TestSearchContextEquivalence(t *testing.T) {
 		for _, pred := range allPredicates {
 			for qi, q := range queries {
 				want, err := f.am.Search(pred, q,
-					WithParallelism(4), WithMaxProbeElements(2), WithMaxZeroSlices(3))
+					WithMaxProbeElements(2), WithMaxZeroSlices(3))
 				if err != nil {
 					t.Fatalf("%s %v q%d search: %v", f.am.Name(), pred, qi, err)
 				}
 				got, err := f.am.SearchContext(ctx, pred, q,
-					WithParallelism(4), WithMaxProbeElements(2), WithMaxZeroSlices(3))
+					WithMaxProbeElements(2), WithMaxZeroSlices(3))
 				if err != nil {
 					t.Fatalf("%s %v q%d context: %v", f.am.Name(), pred, qi, err)
 				}

@@ -148,8 +148,7 @@ func WithLSMCompactAfter(n int) OpenOption {
 }
 
 // WithShards hash-partitions the OID space across k inner facilities
-// with deterministic scatter-gather search (DESIGN.md §16). k ≤ 1 means
-// unsharded.
+// searched shard by shard (DESIGN.md §16). k ≤ 1 means unsharded.
 func WithShards(k int) OpenOption {
 	return func(c *Config) { c.Shards = k }
 }

@@ -19,13 +19,6 @@ type TraceSink = obs.TraceSink
 // SearchOption configures one search submitted through SearchContext.
 type SearchOption func(*SearchOptions)
 
-// WithParallelism fans the search across up to n goroutines (0 or 1 =
-// sequential, negative = one per CPU). The Result — OIDs and every Stats
-// field — is identical at any setting.
-func WithParallelism(n int) SearchOption {
-	return func(o *SearchOptions) { o.Parallelism = n }
-}
-
 // WithMaxProbeElements limits how many query elements form the probe on
 // Superset/Contains searches (the paper's smart object retrieval for
 // T ⊇ Q, §5.1.3). Zero means "use every element".

@@ -13,16 +13,14 @@ import (
 // facilities (DESIGN.md §16). Each shard is a full facility of the
 // configured kind — its own files under a `shard.%02d` store prefix, its
 // own WAL when the store is durable, its own lock and health ladder —
-// so writes to different shards never contend and a scatter-gather
-// search drives K independent I/O streams.
+// so writes to different shards never contend.
 //
 // Insert and Delete route to the owning shard (shardOf, a fixed integer
 // hash of the OID — stable across restarts, so a reopened store routes
-// identically). A search scatters the candidate phases across every
-// shard and the shell resolves the gathered candidates in one pass;
-// because the partitions are disjoint, the result — OIDs and every
-// SearchStats field — is byte-identical to an unsharded facility at any
-// K and any parallelism.
+// identically). A search runs the candidate phases of every shard in
+// shard order and the shell resolves the gathered candidates in one
+// pass; because the partitions are disjoint, the result is the unsharded
+// facility's at any K.
 //
 // Composes with the LSM write path: Config{LSM: true, Shards: k} gives
 // every shard its own memtable, segments and compaction schedule.
@@ -39,7 +37,7 @@ type shardedIndex struct {
 }
 
 // maxShards bounds Config.Shards: beyond this the per-shard fixed costs
-// (files, WALs, scatter overhead) dwarf any parallelism win.
+// (files, WALs, per-shard search overhead) dwarf any write-contention win.
 const maxShards = 64
 
 // shardOf is the partitioning function: a splitmix64-style finalizer
@@ -159,36 +157,28 @@ func (s *shardedIndex) liveOIDs() ([]uint64, error) {
 }
 
 // candidates implements index: the candidate phases of every shard —
-// each an independent facility with its own files and lock, so the
-// per-shard scans do genuinely independent I/O — fanned across the
-// worker pool and gathered in shard order. Cancellation propagates into
-// every in-flight shard scan and stops unstarted ones. The caps in opts
+// each an independent facility with its own files and lock — run in
+// shard order, each adding its page counts to stats. The caps in opts
 // were pinned from the total live count, so every shard applies the same
 // filter strength; the partitions are disjoint, so resolving the
 // concatenation in the shell's one pass yields exactly the unsharded
 // result.
 func (s *shardedIndex) candidates(ctx context.Context, pred signature.Predicate, query []string, opts SearchOptions, stats *SearchStats, tr *obs.Trace) ([]uint64, error) {
 	phase := tr.Begin()
-	shardCands, err := scatter(ctx, searchWorkers(opts), len(s.shards), stats, func(i int, part *SearchStats) ([]uint64, error) {
-		cands, err := s.shards[i].segmentCandidates(ctx, pred, query, opts, part)
+	var candidates []uint64
+	for i, sh := range s.shards {
+		cands, err := sh.segmentCandidates(ctx, pred, query, opts, stats)
 		if err != nil {
 			return nil, fmt.Errorf("core: shard %02d search: %w", i, err)
 		}
-		return cands, nil
-	})
-	if err != nil {
-		return nil, err
+		candidates = append(candidates, cands...)
 	}
 	tr.End(obs.PhaseIndexScan, phase, stats.IndexPages)
 
-	// The per-shard OID-file reads happened inside the scatter (counted
-	// into OIDPages above); what remains of the OID-map phase is the
-	// gather.
+	// The per-shard OID-file reads happened inside each shard's candidate
+	// phases (counted into OIDPages above); the span keeps the trace's
+	// phase set that of every other facility.
 	phase = tr.Begin()
-	var candidates []uint64
-	for _, c := range shardCands {
-		candidates = append(candidates, c...)
-	}
 	tr.End(obs.PhaseOIDMap, phase, stats.OIDPages)
 	return candidates, nil
 }

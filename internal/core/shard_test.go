@@ -167,21 +167,6 @@ func (h *shardDiffHarness) doSearch(t *testing.T, rng *rand.Rand) {
 	}
 	checkStats(t, "flat", flatRes)
 	checkStats(t, "sharded", shRes)
-	// A parallel scatter must be byte-identical — OIDs and Stats — to the
-	// sequential one: the slot-folding merge erases scheduling order.
-	if rng.Intn(3) == 0 {
-		po := append(append([]SearchOption{}, opts...), WithParallelism(1+rng.Intn(8)))
-		par, err := h.sharded.Search(pred, query, po...)
-		if err != nil {
-			t.Fatalf("sharded parallel search: %v", err)
-		}
-		if !equalOIDs(par.OIDs, shRes.OIDs) {
-			t.Fatalf("sharded parallel OIDs diverge: %v vs %v", par.OIDs, shRes.OIDs)
-		}
-		if par.Stats != shRes.Stats {
-			t.Fatalf("sharded parallel stats diverge: %+v vs %+v", par.Stats, shRes.Stats)
-		}
-	}
 }
 
 // TestDifferentialSharded runs diffSchedulesPerKind seeded schedules
@@ -275,44 +260,42 @@ func TestShardedBatchInsert(t *testing.T) {
 	}
 }
 
-// TestShardedCancelMidScatter: a cancellation that fires while shard
-// searches are resolving false drops stops the scatter with ctx.Err()
-// and leaves the facility consistent for the next search.
+// TestShardedCancelMidScatter: a cancellation that fires while a
+// sharded search is resolving false drops stops it with ctx.Err() and
+// leaves the facility consistent for the next search.
 func TestShardedCancelMidScatter(t *testing.T) {
 	const n = 200
 	base := newFixtures(t, n, 5, 30, 91)
 	sets := base[0].sets
 	src := &cancelSource{src: MapSource(sets)}
-	for _, par := range []int{1, 4, 8} {
-		am, err := Open(Config{
-			Kind: KindBSSF, Scheme: signature.MustNew(120, 3), Source: src, Shards: 4,
-		})
-		if err != nil {
-			t.Fatal(err)
+	am, err := Open(Config{
+		Kind: KindBSSF, Scheme: signature.MustNew(120, 3), Source: src, Shards: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for oid := uint64(1); oid <= uint64(n); oid++ {
+		if err := am.Insert(oid, sets[oid]); err != nil {
+			t.Fatalf("insert %d: %v", oid, err)
 		}
-		for oid := uint64(1); oid <= uint64(n); oid++ {
-			if err := am.Insert(oid, sets[oid]); err != nil {
-				t.Fatalf("insert %d: %v", oid, err)
-			}
-		}
-		query := []string{"elem-00001", "elem-00002"}
-		ctx, cancel := context.WithCancel(context.Background())
-		src.cancel = cancel
-		src.left.Store(3)
-		_, err = am.SearchContext(ctx, signature.Overlap, query, WithParallelism(par))
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("P=%d mid-scatter cancel: err = %v, want context.Canceled", par, err)
-		}
-		// Disarm the trigger and re-run: exact answer, clean state.
-		src.left.Store(-1 << 20)
-		res, err := am.SearchContext(context.Background(), signature.Overlap, query, WithParallelism(par))
-		if err != nil {
-			t.Fatalf("P=%d after mid-scatter cancel: %v", par, err)
-		}
-		if want := bruteForce(sets, signature.Overlap, query); !sameOIDs(want, res.OIDs) {
-			t.Errorf("P=%d after mid-scatter cancel: got %v want %v", par, res.OIDs, want)
-		}
+	}
+	query := []string{"elem-00001", "elem-00002"}
+	ctx, cancel := context.WithCancel(context.Background())
+	src.cancel = cancel
+	src.left.Store(3)
+	_, err = am.SearchContext(ctx, signature.Overlap, query)
+	cancel()
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("mid-search cancel: err = %v, want context.Canceled", err)
+	}
+	// Disarm the trigger and re-run: exact answer, clean state.
+	src.left.Store(-1 << 20)
+	res, err := am.SearchContext(context.Background(), signature.Overlap, query)
+	if err != nil {
+		t.Fatalf("after mid-search cancel: %v", err)
+	}
+	if want := bruteForce(sets, signature.Overlap, query); !sameOIDs(want, res.OIDs) {
+		t.Errorf("after mid-search cancel: got %v want %v", res.OIDs, want)
 	}
 }
 

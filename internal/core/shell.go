@@ -131,8 +131,8 @@ func (sh *shell) Search(pred signature.Predicate, query []string, opts ...Search
 // SearchContext implements AccessMethod: the paper's three retrieval
 // steps. The index generates candidates (index scan, then OID mapping)
 // and the one verification pass resolves false drops against the
-// SetSource. Cancellation is honored at every page read and worker-task
-// boundary; the trace goes to the WithTrace/context sink. One logical
+// SetSource. Cancellation is honored before every page read and
+// candidate fetch; the trace goes to the WithTrace/context sink. One logical
 // search is one metrics observation and one trace however deeply the
 // index composes other facilities, because those run through
 // segmentCandidates.
@@ -168,7 +168,7 @@ func (sh *shell) SearchContext(ctx context.Context, pred signature.Predicate, qu
 		return nil, err
 	}
 	phase := tr.Begin()
-	oids, err := verifyCandidates(ctx, sh.src, match, candidates, &stats, searchWorkers(o))
+	oids, err := verifyCandidates(ctx, sh.src, match, candidates, &stats)
 	if err != nil {
 		return nil, err
 	}

@@ -28,20 +28,18 @@ func TestShellContract(t *testing.T) {
 
 		canceled, cancel := context.WithCancel(ctx)
 		cancel()
-		for _, par := range []int{1, 8} {
-			before := searches.Value()
-			_, err := am.SearchContext(canceled, signature.Superset, []string{"common"}, WithParallelism(par))
-			if !errors.Is(err, canceled.Err()) {
-				t.Errorf("pre-canceled P=%d: err = %v, want %v", par, err, canceled.Err())
-			}
-			if got := searches.Value() - before; got != 1 {
-				t.Errorf("pre-canceled P=%d: %d sigfile_searches_total observations, want 1", par, got)
-			}
+		before := searches.Value()
+		_, err := am.SearchContext(canceled, signature.Superset, []string{"common"})
+		if !errors.Is(err, canceled.Err()) {
+			t.Errorf("pre-canceled: err = %v, want %v", err, canceled.Err())
+		}
+		if got := searches.Value() - before; got != 1 {
+			t.Errorf("pre-canceled: %d sigfile_searches_total observations, want 1", got)
 		}
 
 		for _, pred := range allPredicates {
 			for _, smart := range []bool{false, true} {
-				opts := []SearchOption{WithParallelism(4)}
+				var opts []SearchOption
 				if smart {
 					opts = append(opts, WithSmartRetrieval())
 				}
@@ -85,7 +83,8 @@ func TestShellContract(t *testing.T) {
 // TestSmartCaps pins the caps WithSmartRetrieval resolves to per facility
 // kind: the one rule every composition depth shares.
 func TestSmartCaps(t *testing.T) {
-	smart := SearchOptions{Smart: true, Parallelism: 3}
+	sink := &obs.Collector{}
+	smart := SearchOptions{Smart: true, Trace: sink}
 	cases := []struct {
 		name  string
 		kind  Kind
@@ -111,8 +110,8 @@ func TestSmartCaps(t *testing.T) {
 		if got.Smart {
 			t.Errorf("%s: Smart still set after resolution", c.name)
 		}
-		if got.Parallelism != c.opts.Parallelism {
-			t.Errorf("%s: Parallelism changed to %d", c.name, got.Parallelism)
+		if got.Trace != c.opts.Trace {
+			t.Errorf("%s: Trace changed to %v", c.name, got.Trace)
 		}
 	}
 }

@@ -174,30 +174,15 @@ func (s *ssfIndex) delete(oid uint64, _ []string) error {
 
 // candidates implements index following §4.1: form the query signature,
 // scan the signature file collecting drops, then map drops through the
-// OID file. With opts.Parallelism > 1 the scan is sharded into contiguous
-// page segments; the candidate list is identical either way.
+// OID file.
 func (s *ssfIndex) candidates(ctx context.Context, pred signature.Predicate, query []string, opts SearchOptions, stats *SearchStats, tr *obs.Trace) ([]uint64, error) {
 	qsig := s.scheme.SetSignatureStrings(probeElements(query, opts, pred))
-	workers := searchWorkers(opts)
 
-	// Full scan of the signature file (SC_SIG page reads), sharded into
-	// one contiguous page range per worker. Each shard collects matches
-	// and counts pages locally; the shards are then stitched back in
-	// index order, so the match list and IndexPages are exactly those of
-	// a single sequential pass.
+	// Full scan of the signature file (SC_SIG page reads).
 	phase := tr.Begin()
-	npages := (s.n + s.sigsPerPage - 1) / s.sigsPerPage
-	nshards := min(workers, npages)
-	shardMatches, err := scatter(ctx, workers, nshards, stats, func(shard int, part *SearchStats) ([]int, error) {
-		pLo, pHi := shardRange(npages, nshards, shard)
-		return s.scanRange(ctx, pred, qsig, pLo, pHi, part)
-	})
+	matchIdx, err := s.scan(ctx, pred, qsig, stats)
 	if err != nil {
 		return nil, err
-	}
-	var matchIdx []int
-	for _, m := range shardMatches {
-		matchIdx = append(matchIdx, m...)
 	}
 	tr.End(obs.PhaseIndexScan, phase, stats.IndexPages)
 
@@ -208,7 +193,7 @@ func (s *ssfIndex) candidates(ctx context.Context, pred signature.Predicate, que
 	if err != nil {
 		return nil, err
 	}
-	stats.OIDPages = oidPages
+	stats.OIDPages += oidPages
 	tr.End(obs.PhaseOIDMap, phase, stats.OIDPages)
 	return candidates, nil
 }
@@ -216,16 +201,14 @@ func (s *ssfIndex) candidates(ctx context.Context, pred signature.Predicate, que
 // liveOIDs implements index: every non-tombstoned OID in storage order.
 func (s *ssfIndex) liveOIDs() ([]uint64, error) { return s.oid.liveOIDs() }
 
-// scanRange scans signature pages [pLo, pHi), returning the matching
-// signature indexes in ascending order and counting the page reads into
-// stats. It allocates its own page buffer and scratch signature so
-// concurrent shards share nothing. Cancellation is checked before each
-// page read.
-func (s *ssfIndex) scanRange(ctx context.Context, pred signature.Predicate, qsig *bitset.BitSet, pLo, pHi int, stats *SearchStats) ([]int, error) {
+// scan reads every signature page, returning the matching signature
+// indexes in ascending order and counting the page reads into stats.
+// Cancellation is checked before each page read.
+func (s *ssfIndex) scan(ctx context.Context, pred signature.Predicate, qsig *bitset.BitSet, stats *SearchStats) ([]int, error) {
 	var matchIdx []int
 	buf := make([]byte, pagestore.PageSize)
 	tsig := bitset.New(s.scheme.F())
-	for p := pLo; p < pHi; p++ {
+	for p := 0; p*s.sigsPerPage < s.n; p++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

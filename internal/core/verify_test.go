@@ -48,7 +48,7 @@ func TestVerifyAllocsIndependentOfCandidates(t *testing.T) {
 			return testing.AllocsPerRun(10, func() {
 				copy(cands, all)
 				var stats SearchStats
-				if _, err := verifyCandidates(context.Background(), src, match, cands, &stats, 1); err != nil {
+				if _, err := verifyCandidates(context.Background(), src, match, cands, &stats); err != nil {
 					t.Fatal(err)
 				}
 			})

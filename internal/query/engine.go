@@ -88,10 +88,6 @@ type Engine struct {
 	cats map[string]*attrCatalog
 	// pl is the cost-based planner driving access-path selection.
 	pl *planner.Planner
-	// parallelism is forwarded as SearchOptions.Parallelism to every
-	// index search the engine drives; 0 keeps searches sequential.
-	parallelism int
-
 	// slowMu guards the slow-search log configuration; the log writer
 	// itself is serialized under the same lock so interleaved queries
 	// produce whole lines.
@@ -142,13 +138,6 @@ func (e *Engine) DB() *oodb.Database { return e.db }
 // Planner returns the engine's cost-based planner, e.g. to switch
 // adaptive correction on: e.Planner().SetAdaptive(true).
 func (e *Engine) Planner() *planner.Planner { return e.pl }
-
-// SetSearchParallelism makes every index search the engine drives fan
-// across up to n goroutines (0 or 1 = sequential, negative = one per
-// CPU). Query answers and reported IndexStats are identical at any
-// setting — parallelism changes wall-clock only. Set it before sharing
-// the engine across goroutines.
-func (e *Engine) SetSearchParallelism(n int) { e.parallelism = n }
 
 // SetSlowSearchLog makes the engine write a one-line report — query,
 // plan, latency and, for index-driven queries, the per-phase trace — for
@@ -213,9 +202,9 @@ func WithLSMCompactAfter(n int) IndexOption {
 	return func(c *core.Config) { c.LSM = true; c.LSMCompactAfter = n }
 }
 
-// WithShardedIndex hash-partitions the index across k shards with
-// scatter-gather search (DESIGN.md §16). Results are identical to the
-// unsharded facility; the planner prices the K-way scatter and routes
+// WithShardedIndex hash-partitions the index across k shards, searched
+// shard by shard (DESIGN.md §16). Results are identical to the unsharded
+// facility; the planner prices the K shard visits and routes
 // around a facility whose worst shard is degraded.
 func WithShardedIndex(k int) IndexOption {
 	return func(c *core.Config) { c.Shards = k }
@@ -530,12 +519,8 @@ func (e *Engine) ExecuteContext(ctx context.Context, q *Query) (*ResultSet, erro
 // ExecOptions overrides the engine's defaults for one query — the
 // per-request strategy surface the sigfiled server exposes on its wire
 // API. The zero value (or nil) changes nothing: the planner still picks
-// the facility and its smart caps, and searches run at the engine-wide
-// parallelism.
+// the facility and its smart caps.
 type ExecOptions struct {
-	// Parallelism overrides the engine's search parallelism when
-	// nonzero (negative = one goroutine per CPU).
-	Parallelism int
 	// MaxProbeElements, when positive, overrides the planner's probe
 	// cap for the driving superset/contains search (§5.1.3).
 	MaxProbeElements int
@@ -581,14 +566,10 @@ func (e *Engine) executeCtx(ctx context.Context, q *Query, eo *ExecOptions) (*Re
 			parent.EmitTrace(t)
 		})
 	}
-	parallelism := e.parallelism
 	probeCap, zeroCap := dp.cand.MaxProbeElements, dp.cand.MaxZeroSlices
 	if eo != nil {
 		// Per-request overrides (the server's wire options) win over the
 		// planner's choices; zero values defer to the planner.
-		if eo.Parallelism != 0 {
-			parallelism = eo.Parallelism
-		}
 		if eo.MaxProbeElements > 0 {
 			probeCap = eo.MaxProbeElements
 		}
@@ -596,7 +577,7 @@ func (e *Engine) executeCtx(ctx context.Context, q *Query, eo *ExecOptions) (*Re
 			zeroCap = eo.MaxZeroSlices
 		}
 	}
-	opts := []core.SearchOption{core.WithParallelism(parallelism), core.WithTrace(sink)}
+	opts := []core.SearchOption{core.WithTrace(sink)}
 	if probeCap > 0 {
 		opts = append(opts, core.WithMaxProbeElements(probeCap))
 	}

@@ -732,3 +732,55 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Fatalf("binary stats unknown tenant: err = %v, want NOT_FOUND", err)
 	}
 }
+
+// TestParallelismOptionIgnored: the wire field parallelism is accepted
+// and ignored — a search sent with it answers with the same OIDs and
+// stats as one sent without it, over both protocols.
+func TestParallelismOptionIgnored(t *testing.T) {
+	_, httpURL, binAddr := startServer(t, nil)
+	hc := client.New(httpURL)
+	defer hc.Close()
+	bc := client.Dial(binAddr)
+	defer bc.Close()
+	ctx := context.Background()
+
+	if _, err := hc.CreateTenant(ctx, "par", api.TenantConfig{Kinds: []string{"bssf", "nix"}}); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 40; i++ {
+		if _, err := hc.Insert(ctx, "par", randSet(rng, 5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	searches := []struct {
+		pred  string
+		query []string
+	}{
+		{api.PredSuperset, []string{elem(1), elem(2)}},
+		{api.PredSubset, randSet(rng, 30)},
+	}
+	for _, c := range []*client.Client{hc, bc} {
+		for _, s := range searches {
+			want, err := c.Search(ctx, "par", s.pred, s.query, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Stats == nil {
+				t.Fatalf("%s: no index drove the search (plan %q)", s.pred, want.Plan)
+			}
+			for _, p := range []int{8, -1} {
+				got, err := c.Search(ctx, "par", s.pred, s.query, &api.SearchOptions{Parallelism: p})
+				if err != nil {
+					t.Fatalf("%s parallelism=%d: %v", s.pred, p, err)
+				}
+				if fmt.Sprint(got.OIDs) != fmt.Sprint(want.OIDs) {
+					t.Errorf("%s parallelism=%d: oids %v, want %v", s.pred, p, got.OIDs, want.OIDs)
+				}
+				if fmt.Sprintf("%+v", got.Stats) != fmt.Sprintf("%+v", want.Stats) {
+					t.Errorf("%s parallelism=%d: stats %+v, want %+v", s.pred, p, got.Stats, want.Stats)
+				}
+			}
+		}
+	}
+}

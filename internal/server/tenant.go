@@ -460,7 +460,6 @@ func execOptions(o *api.SearchOptions) *query.ExecOptions {
 		return nil
 	}
 	return &query.ExecOptions{
-		Parallelism:      o.Parallelism,
 		MaxProbeElements: o.MaxProbeElements,
 		MaxZeroSlices:    o.MaxZeroSlices,
 	}
@@ -509,8 +508,8 @@ func wireStats(s *core.SearchStats) *api.SearchStats {
 }
 
 // searchMany answers a batch sequentially on the request goroutine;
-// intra-search parallelism comes from the per-search options, and
-// cross-request concurrency from the server's connection handling.
+// concurrency comes from the server's connection handling, across
+// requests.
 func (t *tenant) searchMany(ctx context.Context, req *api.SearchManyRequest) (*api.SearchManyResponse, error) {
 	resp := &api.SearchManyResponse{Results: make([]api.SearchResponse, 0, len(req.Searches))}
 	for i := range req.Searches {

@@ -8,7 +8,7 @@
 #   scripts/bench_server.sh [duration] [workers]
 #
 # The report uses the shared benchfmt schema, so BENCH_server.json
-# reads like BENCH_parallel.json and BENCH_lsm.json.
+# reads like BENCH_lsm.json and BENCH_shard.json.
 set -eu
 cd "$(dirname "$0")/.."
 

@@ -89,7 +89,7 @@ type (
 	// WithX option functions.
 	SearchOptions = core.SearchOptions
 	// ShardedFacility hash-partitions the OID space across K inner
-	// facilities and scatter-gathers searches over them (DESIGN.md §16).
+	// facilities and searches them in shard order (DESIGN.md §16).
 	// Build one with Open plus WithShards.
 	ShardedFacility = core.ShardedFacility
 	// SearchRequest is one search of a batch passed to SearchMany.
@@ -133,7 +133,7 @@ type (
 	// paper's §6 anticipates, taken to its limit).
 	BatchInserter = core.BatchInserter
 	// SearchOption configures one Search/SearchContext call; see
-	// WithParallelism, WithSmartRetrieval, WithTrace.
+	// WithSmartRetrieval, WithMaxProbeElements, WithTrace.
 	SearchOption = core.SearchOption
 	// Trace is one search's phase decomposition: index scan → OID map →
 	// false-drop resolution, with page counts summing exactly to the
@@ -314,8 +314,8 @@ func WithLSMCompactAfter(n int) OpenOption { return core.WithLSMCompactAfter(n) 
 // WithShards hash-partitions the OID space across k inner facilities,
 // each a full instance of the configured kind under its own store
 // prefix, WAL and health ladder. Writes route to the owning shard;
-// searches scatter-gather across all shards with deterministic merging,
-// so results are byte-identical at any k (DESIGN.md §16). k ≤ 1 means
+// searches visit every shard in order and merge deterministically, so
+// results are byte-identical at any k (DESIGN.md §16). k ≤ 1 means
 // unsharded. Composes with WithLSM: each shard runs its own LSM.
 func WithShards(k int) OpenOption { return core.WithShards(k) }
 
@@ -330,30 +330,25 @@ func NewFrameScheme(k, s, m int) (*FrameScheme, error) {
 	return signature.NewFrameScheme(k, s, m)
 }
 
-// SearchMany answers a batch of searches against one facility, fanning
-// the requests across up to parallelism goroutines (0 or 1 = one at a
-// time; negative = one per CPU). Result i corresponds to request i.
-// The built-in facilities are internally safe for concurrent searches,
-// so SearchMany serves throughput workloads while every individual
-// Result stays identical to a sequential call.
-func SearchMany(am AccessMethod, reqs []SearchRequest, parallelism int) ([]*Result, error) {
-	return core.SearchMany(am, reqs, parallelism)
+// SearchMany answers a batch of searches against one facility, one after
+// another on the calling goroutine. Result i corresponds to request i;
+// failed slots are nil and their errors are joined. The built-in
+// facilities are safe for concurrent searches, so callers wanting
+// throughput run several SearchMany or Search calls concurrently; every
+// Result is identical to that of a single Search call.
+func SearchMany(am AccessMethod, reqs []SearchRequest) ([]*Result, error) {
+	return core.SearchMany(am, reqs)
 }
 
-// SearchManyContext is SearchMany with cancellation: when ctx fires,
-// in-flight searches stop at their next page access and the joined error
-// satisfies errors.Is(err, ctx.Err()).
-func SearchManyContext(ctx context.Context, am AccessMethod, reqs []SearchRequest, parallelism int) ([]*Result, error) {
-	return core.SearchManyContext(ctx, am, reqs, parallelism)
+// SearchManyContext is SearchMany with cancellation: when ctx fires, the
+// running search stops at its next page access, unstarted slots stay nil
+// and the joined error satisfies errors.Is(err, ctx.Err()).
+func SearchManyContext(ctx context.Context, am AccessMethod, reqs []SearchRequest) ([]*Result, error) {
+	return core.SearchManyContext(ctx, am, reqs)
 }
 
 // Search options for AccessMethod.Search and SearchContext. Each returns
 // a SearchOption; they are the only way to configure a search.
-
-// WithParallelism fans the search across up to n goroutines (0 or 1 =
-// sequential, negative = one per CPU). The Result — OIDs and every Stats
-// field — is identical at any setting.
-func WithParallelism(n int) SearchOption { return core.WithParallelism(n) }
 
 // WithSmartRetrieval lets the facility pick its own probe caps — the
 // paper's smart object retrieval (§5.1.3, §5.2.2) without hand-tuned
